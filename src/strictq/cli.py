@@ -151,33 +151,25 @@ def cmd_axioms(args) -> int:
     grid = cfg.grid()
     f = sample(gaussian_field(f_obs), grid)
     g = sample(gaussian_field(g_obs), grid)
-    schedule = cfg.schedule()
-
-    reports = [
-        asymptotics.check_dirac(f, g, schedule),
-        asymptotics.check_vonneumann(f, g, schedule),
-        asymptotics.check_norm_limit(f, schedule),
-    ]
-    if schedule.count >= 2:
-        reports.append(asymptotics.check_norm_continuity(f, schedule))
-    star_prod, star_br = asymptotics.check_star_limits(f, g, schedule)
-    reports.extend([star_prod, star_br])
+    reports = asymptotics.axiom_sweep(f, g, cfg.schedule())
 
     ids = {"dirac": 0, "vonneumann": 1, "norm_limit": 2, "norm_continuity": 3}
-    rows, notes = [], []
+    rows, notes, warnings = [], [], []
     ok = True
     for rep in reports:
         axiom_id = ids.get(rep.axiom, 4 if rep.detail == "product" else 5)
         for hbar, defect in zip(rep.hbars, rep.defects):
             rows.append([axiom_id, hbar, defect, rep.classical_ref])
         notes.extend(rep.notes)
+        warnings.extend(rep.warnings)
         if rep.axiom != "norm_continuity":
             ok = ok and rep.passes()
     rows.sort(key=lambda r: (r[0], -r[1]))
     write_report(
         "axioms",
         _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
-                     axiom_labels=AXIOM_LABELS, notes=sorted(set(notes))),
+                     axiom_labels=AXIOM_LABELS, notes=sorted(set(notes)),
+                     warnings=sorted(set(warnings))),
         ["axiom_id", "hbar", "defect", "classical_ref"],
         rows,
         cfg.out,
@@ -412,7 +404,8 @@ def cmd_star(args) -> int:
         _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
                      classical_refs={"product": prod_rep.classical_ref,
                                      "bracket": br_rep.classical_ref},
-                     notes=sorted(set(prod_rep.notes))),
+                     notes=sorted(set(prod_rep.notes)),
+                     warnings=sorted(set(prod_rep.warnings))),
         ["hbar", "product_defect", "bracket_defect"],
         rows,
         cfg.out,

@@ -99,10 +99,7 @@ def test_criterion_04_strict_quantization_axioms():
     g = sampled_gaussian(GaussianObservable(-0.3, 0.3, 0.6, 0.55), grid)
     sched = HbarSchedule(start=1.0, ratio=0.5, count=7)
 
-    dirac = asymptotics.check_dirac(f, g, sched)
-    vonn = asymptotics.check_vonneumann(f, g, sched)
-    norm = asymptotics.check_norm_limit(f, sched)
-    star_p, star_b = asymptotics.check_star_limits(f, g, sched)
+    dirac, vonn, norm, _, star_p, star_b = asymptotics.axiom_sweep(f, g, sched)
 
     def decreasing_from_2(rep):
         d = rep.defects

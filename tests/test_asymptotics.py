@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from strictq import asymptotics
 from strictq.asymptotics import (
     AxiomReport,
+    axiom_sweep,
     check_dirac,
     check_norm_continuity,
     check_norm_limit,
@@ -13,8 +15,8 @@ from strictq.asymptotics import (
 )
 from strictq.core import Grid1D, Grid2D, HbarSchedule, sample
 from strictq.gaussian import GaussianObservable
-from strictq.symbols import coordinate_field, gaussian_field, window_field
-from strictq.weyl import weyl_kernel
+from strictq.symbols import coordinate_field, gaussian_field, poisson_field, window_field
+from strictq.weyl import OperatorKernel, op_norm, star_product, weyl_kernel
 
 from conftest import random_gaussians, sampled_gaussian
 
@@ -165,6 +167,113 @@ def test_star_bracket_windowed_coordinates():
     qq, pp = grid.meshes()
     interior = (np.abs(qq) < 1.5) & (np.abs(pp) < 1.5)
     assert np.max(np.abs(comm[interior] - 1.0)) < 1e-5
+
+
+# ------------------------------------------------------------- shared pass
+
+def _count_calls(monkeypatch):
+    counts = {}
+    for name in ("weyl_kernel", "compose", "op_norm", "dequantize"):
+        original = getattr(asymptotics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, name, counted)
+    return counts
+
+
+def test_sweep_builds_each_kernel_and_product_once(monkeypatch):
+    axis = Grid1D(-6.0, 6.0, 128)
+    grid = Grid2D(axis, axis)
+    f, g = make(F_OBS, grid), make(G_OBS, grid)
+    sched = HbarSchedule(1.0, 0.5, 3)
+    counts = _count_calls(monkeypatch)
+    reports = axiom_sweep(f, g, sched)
+    per_hbar = {name: c / sched.count for name, c in counts.items()}
+    assert per_hbar == {"weyl_kernel": 4, "compose": 2, "op_norm": 3, "dequantize": 2}
+    assert [(r.axiom, r.detail) for r in reports] == [
+        ("dirac", ""), ("vonneumann", ""), ("norm_limit", ""), ("norm_continuity", ""),
+        ("star_limit", "product"), ("star_limit", "bracket")]
+
+    counts.clear()
+    check_star_limits(f, g, sched)
+    per_hbar = {name: c / sched.count for name, c in counts.items()}
+    assert per_hbar == {"weyl_kernel": 2, "compose": 2, "dequantize": 2}
+
+
+def test_sweep_matches_independent_checks():
+    # oracle: every defect rebuilt from the public kernel calculus, one
+    # axiom at a time, as each check did before the shared pass existed
+    axis = Grid1D(-6.0, 6.0, 192)
+    grid = Grid2D(axis, axis)
+    f, g = make(F_OBS, grid), make(G_OBS, grid)
+    sched = HbarSchedule(1.0, 0.5, 4)
+    product = sample(f.symbol * g.symbol, grid)
+    bracket = sample(poisson_field(f.symbol, g.symbol), grid)
+    expected = {k: [] for k in ("dirac", "vonneumann", "norms", "prod", "br")}
+    for hbar in sched.values:
+        ka, kb = weyl_kernel(f, hbar, axis), weyl_kernel(g, hbar, axis)
+        qb = quantum_bracket(ka, kb, hbar)
+        jd = jordan(ka, kb)
+        for key, exact, approx in (("dirac", bracket, qb), ("vonneumann", product, jd)):
+            diff = weyl_kernel(exact, hbar, axis).matrix - approx.matrix
+            expected[key].append(op_norm(OperatorKernel(grid=axis, matrix=diff, hbar=hbar)))
+        expected["norms"].append(op_norm(ka))
+        fg, gf = star_product(f, g, hbar), star_product(g, f, hbar)
+        expected["prod"].append(np.max(np.abs(fg.values - product.values)))
+        comm = (fg.values - gf.values) / (1j * hbar)
+        expected["br"].append(np.max(np.abs(comm - bracket.values)))
+    expected["norm"] = [abs(x - f.sup_norm()) for x in expected["norms"]]
+    expected["cont"] = np.abs(np.diff(expected["norms"]))
+
+    dirac, vonn, norm, cont, star_p, star_b = axiom_sweep(f, g, sched)
+    for rep, key in ((dirac, "dirac"), (vonn, "vonneumann"), (norm, "norm"),
+                     (cont, "cont"), (star_p, "prod"), (star_b, "br")):
+        np.testing.assert_allclose(rep.defects, expected[key], rtol=1e-14, atol=0,
+                                   err_msg=key)
+    assert dirac.classical_ref == bracket.sup_norm()
+    assert vonn.classical_ref == product.sup_norm()
+
+
+def test_sweep_omits_continuity_on_single_clipped_hbar():
+    axis = Grid1D(-6.0, 6.0, 64)
+    grid = Grid2D(axis, axis)
+    # 0.012 sits just above the aliasing floor; the smaller entries are clipped
+    reports = axiom_sweep(make(F_OBS, grid), make(G_OBS, grid), HbarSchedule(0.012, 0.5, 3))
+    assert [r.axiom for r in reports] == [
+        "dirac", "vonneumann", "norm_limit", "star_limit", "star_limit"]
+    assert all(len(r.hbars) == 1 for r in reports)
+    assert any("clipped from 3 to 1" in note for note in reports[0].notes)
+    with pytest.raises(ValueError):
+        check_norm_continuity(make(F_OBS, grid), HbarSchedule(0.012, 0.5, 3))
+
+
+def test_star_warnings_tagged_with_first_hbar():
+    # the dequantized band |p| <= pi hbar / dq shrinks with hbar until the
+    # symbols' momentum content reaches its edge
+    axis = Grid1D(-6.0, 6.0, 128)
+    grid = Grid2D(axis, axis)
+    prod, br = check_star_limits(make(F_OBS, grid), make(G_OBS, grid),
+                                 HbarSchedule(0.125, 0.5, 3))
+    assert prod.warnings == br.warnings
+    assert sorted(prod.warnings) == [
+        "symbol content at the resolved momentum band edge |p| = 1.0472 "
+        "(first at hbar=0.03125)",
+        "symbol content at the resolved momentum band edge |p| = 2.0944 "
+        "(first at hbar=0.0625)",
+    ]
+
+
+def test_repeated_warning_kept_once_with_first_hbar():
+    # a wide momentum profile has not decayed at the p-boundary, so every
+    # kernel raises the same warning
+    wide = make(GaussianObservable(q0=0.0, p0=0.0, alpha=0.7, beta=8.0))
+    rep = check_norm_limit(wide, HbarSchedule(0.5, 0.5, 3))
+    assert len(rep.warnings) == 1
+    assert rep.warnings[0].startswith("p-boundary decay")
+    assert rep.warnings[0].endswith("(first at hbar=0.5)")
 
 
 # -------------------------------------------------------------- report type

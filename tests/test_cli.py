@@ -89,6 +89,18 @@ def test_axioms_single_row_tables(tmp_path):
     assert code in (0, 1)  # single coarse hbar need not meet the 5% gate
 
 
+def test_axioms_schedule_clipped_to_one_entry(tmp_path):
+    # at n=64 the aliasing guard keeps only hbar=0.012 of the three entries
+    out = tmp_path / "ax.json"
+    code = run(["axioms", "--n", "64", "--hbar-start", "0.012", "--hbar-count", "3",
+                "--out", str(out)])
+    assert code in (0, 1)
+    data = read_json(out)
+    assert data["rows"]
+    assert all(int(r[0]) != 3 for r in data["rows"])
+    assert any("clipped from 3 to 1" in note for note in data["config"]["notes"])
+
+
 def test_csv_mirrors_columns_rows(tmp_path):
     out = tmp_path / "t.csv"
     code = run(["torus", "--n-range", "2:5", "--format", "csv", "--out", str(out)])
@@ -161,6 +173,24 @@ def test_star_report(tmp_path):
     brs = [row[2] for row in data["rows"]]
     assert all(b < a for a, b in zip(prods, prods[1:]))
     assert all(b < a for a, b in zip(brs, brs[1:]))
+
+
+def test_star_report_names_band_edge_warnings(tmp_path):
+    # the final product defect fails the 5% gate; the dequantization
+    # warnings that explain it reach the report
+    out = tmp_path / "st.json"
+    code = run(["star", "--n", "256", "--out", str(out)])
+    assert code == 1
+    data = read_json(out)
+    last = data["rows"][-1]
+    assert last[0] == 2.0 ** -6
+    assert last[1] > 0.05 * data["config"]["classical_refs"]["product"]
+    assert data["config"]["warnings"] == [
+        "symbol content at the resolved momentum band edge |p| = 1.0472 "
+        "(first at hbar=0.015625)",
+        "symbol content at the resolved momentum band edge |p| = 2.0944 "
+        "(first at hbar=0.03125)",
+    ]
 
 
 def test_threads_env_does_not_change_report(tmp_path, monkeypatch):
