@@ -314,7 +314,7 @@ def poisson_bracket(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     gp = spectral_derivative(g.values, 1, dp)
     values = fq * gp - fp * gq
     return SampledFunction(grid=f.grid, values=values, symbol=None,
-                           warnings=tuple(set(f.warnings) | set(g.warnings)))
+                           warnings=tuple(dict.fromkeys(f.warnings + g.warnings)))
 
 
 def trig_shift(values: np.ndarray, axis: int, shift: float, delta: float):

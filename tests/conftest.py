@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from strictq.core import Grid1D, Grid2D, sample
 from strictq.gaussian import GaussianObservable
 from strictq.symbols import gaussian_field
+
+# property tests draw the same examples on every run and write no example
+# database; some examples build dense oracles, so no per-example deadline
+settings.register_profile("strictq", derandomize=True, deadline=None, database=None)
+settings.load_profile("strictq")
 
 
 @pytest.fixture(scope="session")

@@ -84,26 +84,41 @@ def test_product_decomposition_identity():
 
 # ------------------------------------------------------------------- checks
 
-def test_dirac_self_vanishes():
-    f = make(F_OBS)
-    rep = check_dirac(f, f, HbarSchedule(1.0, 0.5, 3))
-    assert np.all(rep.defects <= 1e-10)
+@pytest.fixture(scope="module")
+def sweep():
+    """``axiom_sweep`` of two observables on a square n-point grid, run once per input."""
+    cache = {}
+
+    def run(f_obs, g_obs, n, schedule):
+        key = (f_obs, g_obs, n, schedule)
+        if key not in cache:
+            axis = Grid1D(-6.0, 6.0, n)
+            grid = Grid2D(axis, axis)
+            cache[key] = axiom_sweep(make(f_obs, grid), make(g_obs, grid), schedule)
+        return cache[key]
+
+    return run
 
 
-def test_dirac_decreasing_two_resolutions():
+SCHED3 = HbarSchedule(1.0, 0.5, 3)
+
+
+def test_dirac_self_vanishes(sweep):
+    dirac = sweep(F_OBS, F_OBS, AXIS.n, SCHED3)[0]
+    assert np.all(dirac.defects <= 1e-10)
+
+
+def test_dirac_decreasing_two_resolutions(sweep):
     for n in (384, 512):
-        axis = Grid1D(-6.0, 6.0, n)
-        grid = Grid2D(axis, axis)
-        rep = check_dirac(make(F_OBS, grid), make(G_OBS, grid), SCHED)
+        rep = sweep(F_OBS, G_OBS, n, SCHED)[0]
         assert np.all(np.diff(rep.defects) < 0)
         assert rep.defects[-1] < rep.defects[0] / 4.0
 
 
-def test_vonneumann_nonzero_for_equal_args_and_decreasing():
-    f = make(F_OBS)
-    rep_self = check_vonneumann(f, f, HbarSchedule(1.0, 0.5, 3))
+def test_vonneumann_nonzero_for_equal_args_and_decreasing(sweep):
+    rep_self = sweep(F_OBS, F_OBS, AXIS.n, SCHED3)[1]
     assert rep_self.defects[0] > 1e-3  # f*f != f^2 pointwise at hbar > 0
-    rep = check_vonneumann(f, make(G_OBS), SCHED)
+    rep = sweep(F_OBS, G_OBS, AXIS.n, SCHED)[1]
     assert np.all(np.diff(rep.defects) < 0)
     assert rep.defects[-1] < rep.defects[0] / 4.0
 
@@ -288,12 +303,17 @@ def test_report_validation():
 
 
 def test_reports_deterministic():
-    f = make(F_OBS)
-    g = make(G_OBS)
-    sched = HbarSchedule(1.0, 0.5, 3)
-    a = check_dirac(f, g, sched)
-    b = check_dirac(f, g, sched)
-    assert np.array_equal(a.defects, b.defects)
+    # each view reruns the whole pass and must reproduce its report bit for bit
+    axis = Grid1D(-6.0, 6.0, 192)
+    grid = Grid2D(axis, axis)
+    f, g = make(F_OBS, grid), make(G_OBS, grid)
+    reports = axiom_sweep(f, g, SCHED3)
+    for view, rep in ((check_dirac, reports[0]), (check_vonneumann, reports[1])):
+        again = view(f, g, SCHED3)
+        assert np.array_equal(again.hbars, rep.hbars)
+        assert np.array_equal(again.defects, rep.defects)
+        assert (again.axiom, again.classical_ref, again.notes, again.warnings) == (
+            rep.axiom, rep.classical_ref, rep.notes, rep.warnings)
 
 
 def test_schedule_clipping_note():

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import strictq
 from strictq.core import Grid1D, Grid2D, quadrature, sample, spectral_derivative
 from strictq.gaussian import GaussianObservable, chi_vector
 from strictq.symbols import coordinate_field, gaussian_field, window_field
@@ -20,6 +27,7 @@ from strictq.weyl import (
     star_product,
     weyl_kernel,
 )
+from strictq.weyl import _antidiagonal_table, _gather_table, _midpoints
 
 from conftest import random_gaussians, sampled_gaussian
 
@@ -220,6 +228,19 @@ def test_dequantize_adjoint_conjugation(box16):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def test_dequantize_no_momentum_in_band():
+    # every target momentum lies beyond pi hbar / dq = 0.1676
+    q = Grid1D(-6.0, 6.0, 64)
+    kernel = OperatorKernel(grid=q, matrix=np.eye(64), hbar=0.01)
+    target = Grid2D(q, Grid1D(5.0, 6.0, 16))
+    with pytest.raises(AliasingError, match="resolved band") as err:
+        dequantize(kernel, target)
+    hbar_min = q.delta * np.min(np.abs(target.paxis.points)) / np.pi
+    assert err.value.hbar_min == pytest.approx(hbar_min)
+    usable = OperatorKernel(grid=q, matrix=np.eye(64), hbar=1.001 * hbar_min)
+    assert dequantize(usable, target).values.shape == (64, 16)
+
+
 def test_dequantize_default_grid(box16):
     _, k = projector_kernel(box16)
     sym = dequantize(k)
@@ -286,3 +307,127 @@ def test_position_momentum_consistency(box16):
     got_p = apply(kp, psi).values
     want_p = -1j * hbar * spectral_derivative(psi.values, 0, qgrid.delta)
     assert np.max(np.abs(got_p - want_p)[interior]) < 1e-5
+
+
+# --------------------------------------------- chirp-z against dense oracle
+
+def dense_kernel_matrix(f, hbar, qgrid):
+    """Kernel by one dense phase product over the (2n-1)-point tables."""
+    paxis = f.grid.paxis
+    n = qgrid.n
+    dq, dp = qgrid.delta, paxis.delta
+    mids = _midpoints(qgrid)
+    p = paxis.points
+    fmid = np.asarray(f.symbol(mids[:, None], p[None, :]), dtype=complex)
+    seps = (np.arange(2 * n - 1) - (n - 1)) * dq
+    inside = np.abs(seps) <= np.pi * hbar / dp
+    phases = np.zeros((2 * n - 1, paxis.n), dtype=complex)
+    phases[inside] = np.exp(1j * np.outer(seps[inside], p) / hbar)
+    return _gather_table(fmid @ phases.T * (dp / (2.0 * np.pi * hbar)), n)
+
+
+def dense_dequantize_values(kernel, pgrid):
+    """Symbol samples by one dense phase product over the anti-diagonals."""
+    n = kernel.grid.n
+    dq = kernel.grid.delta
+    hbar = kernel.hbar
+    m = 2 * (n - 1)
+    seps = (np.arange(2 * m + 1) - m) * (dq / 2.0)
+    p = pgrid.paxis.points
+    inside = np.abs(p) <= np.pi * hbar / dq
+    phases = np.zeros((2 * m + 1, pgrid.paxis.n), dtype=complex)
+    phases[:, inside] = np.exp(-1j * np.outer(seps, p[inside]) / hbar)
+    return _antidiagonal_table(kernel) @ phases * (dq / 2.0)
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+sizes = st.integers(64, 300)
+
+
+@settings(max_examples=12)
+@given(n=sizes, n_p=sizes, n_t=sizes, half=st.floats(6.0, 10.0),
+       shift=st.floats(-1.0, 1.0), level=st.floats(0.05, 1.0),
+       center=st.floats(-1.0, 1.0), widths=st.tuples(st.floats(0.5, 1.0), st.floats(0.5, 1.0)),
+       imag=st.floats(-1.0, 1.0))
+@example(n=300, n_p=257, n_t=300, half=8.0, shift=0.3, level=0.2, center=0.2,
+         widths=(0.7, 0.9), imag=0.0)
+@example(n=100, n_p=99, n_t=64, half=6.0, shift=1.0, level=0.0, center=0.0,
+         widths=(1.0, 1.0), imag=0.5)
+def test_transforms_match_dense_oracle(n, n_p, n_t, half, shift, level, center, widths,
+                                       imag):
+    # hbar runs log-uniformly from the aliasing floor to 1, so the kernel
+    # band |q - q'| <= pi hbar / dp and the momentum band |p| <= pi hbar / dq
+    # are clipped for most examples; the first explicit example has more
+    # rows than one transform block in both maps and a real symbol, the
+    # second sits at the floor, where the band holds the diagonal alone
+    qgrid = Grid1D(-half, half, n)
+    grid = Grid2D(qgrid, Grid1D(-half + shift, half + shift, n_p))
+    floor = hbar_floor(qgrid, grid.paxis)
+    hbar = floor ** (1.0 - level)
+    obs = GaussianObservable(q0=center, p0=-center, alpha=widths[0], beta=widths[1])
+    field = gaussian_field(obs) * (1.0 + 1j * imag)
+    f = sample(field, grid)
+    kernel = weyl_kernel(f, hbar, qgrid)
+    assert relative_gap(kernel.matrix, dense_kernel_matrix(f, hbar, qgrid)) <= 1e-11
+    adjoint_kernel = weyl_kernel(sample(field.conj(), grid), hbar, qgrid)
+    assert np.array_equal(adjoint_kernel.matrix, kernel.matrix.conj().T)
+
+    target = Grid2D(qgrid, Grid1D(-half - shift, half - shift, n_t))
+    p = target.paxis.points
+    if not np.any(np.abs(p) <= np.pi * hbar / qgrid.delta):
+        with pytest.raises(AliasingError):
+            dequantize(kernel, target)
+        return
+    back = dequantize(kernel, target)
+    assert relative_gap(back.values, dense_dequantize_values(kernel, target)) <= 1e-11
+
+
+@settings(max_examples=8)
+@given(n=st.integers(200, 300), n_p=st.integers(150, 300), hbar=st.floats(0.25, 0.5),
+       center=st.floats(-0.5, 0.5), widths=st.tuples(st.floats(0.5, 0.8), st.floats(0.5, 0.8)))
+@example(n=255, n_p=255, hbar=0.25, center=0.3, widths=(0.8, 0.8))
+@example(n=257, n_p=200, hbar=0.25, center=0.3, widths=(0.8, 0.8))
+def test_round_trip_odd_and_non_square_grids(n, n_p, hbar, center, widths):
+    # centres and widths keep the symbol below 1e-15 of its peak at the box
+    # edge, so the gate measures the transforms, not the truncated tails
+    qgrid = Grid1D(-8.0, 8.0, n)
+    grid = Grid2D(qgrid, Grid1D(-8.0, 8.0, n_p))
+    obs = GaussianObservable(q0=center, p0=-center, alpha=widths[0], beta=widths[1])
+    f = sampled_gaussian(obs, grid)
+    back = dequantize(weyl_kernel(f, hbar, qgrid), grid)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-11 * f.sup_norm()
+
+
+# ------------------------------------------------------- warning order
+
+_MERGE_SCRIPT = """
+import numpy as np
+from strictq.core import Grid1D, Grid2D, SampledFunction, poisson_bracket
+from strictq.weyl import OperatorKernel, compose
+q = Grid1D(-1.0, 1.0, 4)
+a = OperatorKernel(grid=q, matrix=np.eye(4), hbar=1.0, warnings=("p-boundary decay",))
+b = OperatorKernel(grid=q, matrix=np.eye(4), hbar=1.0,
+                   warnings=("kernel content at the resolved-band edge", "p-boundary decay"))
+grid = Grid2D(q, q)
+f = SampledFunction(grid=grid, values=np.ones((4, 4)), warnings=a.warnings)
+g = SampledFunction(grid=grid, values=np.ones((4, 4)), warnings=b.warnings)
+print(compose(a, b).warnings, poisson_bracket(f, g).warnings)
+"""
+
+
+def test_warning_merge_order_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(strictq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _MERGE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.add(done.stdout)
+    assert outputs == {
+        "('p-boundary decay', 'kernel content at the resolved-band edge') "
+        "('p-boundary decay', 'kernel content at the resolved-band edge')\n"
+    }
