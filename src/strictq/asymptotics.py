@@ -44,7 +44,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HbarSchedule, SampledFunction, sample
+from .core import (
+    HbarSchedule,
+    SampledFunction,
+    record_warnings,
+    sample,
+    tagged_warnings,
+)
 from .symbols import SymbolField, poisson_field
 from .weyl import (
     OperatorKernel,
@@ -157,24 +163,13 @@ def _classical(f: SampledFunction, g: SampledFunction):
             sample(poisson_field(f.symbol, g.symbol), f.grid))
 
 
-def _record(seen: dict, hbar: float, *sources) -> None:
-    """Remember each warning of ``sources`` with the first hbar that raised it."""
-    for source in sources:
-        for message in source.warnings:
-            seen.setdefault(message, hbar)
-
-
-def _tagged(seen: dict) -> tuple:
-    return tuple(f"{message} (first at hbar={hbar:g})" for message, hbar in seen.items())
-
-
 def _star_step(ab: OperatorKernel, ba: OperatorKernel, product: SampledFunction,
                bracket: SampledFunction, seen: dict):
     """Star-limit defects at one hbar from the products AB and BA."""
     hbar = ab.hbar
     fg = dequantize(ab, product.grid)
     gf = dequantize(ba, product.grid)
-    _record(seen, hbar, fg, gf)
+    record_warnings(seen, hbar, fg, gf)
     comm = (fg.values - gf.values) / (1j * hbar)
     return (float(np.max(np.abs(fg.values - product.values))),
             float(np.max(np.abs(comm - bracket.values))))
@@ -182,7 +177,7 @@ def _star_step(ab: OperatorKernel, ba: OperatorKernel, product: SampledFunction,
 
 def _star_reports(hbars, defects, product, bracket, notes, seen):
     prod_defects, br_defects = (np.array(d) for d in zip(*defects))
-    common = dict(axiom="star_limit", hbars=hbars, notes=notes, warnings=_tagged(seen))
+    common = dict(axiom="star_limit", hbars=hbars, notes=notes, warnings=tagged_warnings(seen))
     return (
         AxiomReport(defects=prod_defects, classical_ref=product.sup_norm(),
                     detail="product", **common),
@@ -199,7 +194,7 @@ def _norm_limit_report(f, hbars, norms, notes, seen) -> AxiomReport:
         defects=np.array([abs(norm - ref) for norm in norms]),
         classical_ref=ref,
         notes=notes,
-        warnings=_tagged(seen),
+        warnings=tagged_warnings(seen),
     )
 
 
@@ -210,7 +205,7 @@ def _norm_continuity_report(f, hbars, norms, notes, seen) -> AxiomReport:
         defects=np.abs(np.diff(norms)),
         classical_ref=f.sup_norm(),
         notes=notes,
-        warnings=_tagged(seen),
+        warnings=tagged_warnings(seen),
     )
 
 
@@ -229,16 +224,16 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
     for hbar in clipped.values:
         ka = weyl_kernel(f, hbar, qgrid)
         kb = weyl_kernel(g, hbar, qgrid)
-        _record(seen_norm, hbar, ka)
+        record_warnings(seen_norm, hbar, ka)
         norms.append(op_norm(ka))
         ab, ba = compose(ka, kb), compose(kb, ka)
         del ka, kb
         kbr = weyl_kernel(bracket, hbar, qgrid)
-        _record(seen_dirac, hbar, ab, kbr)
+        record_warnings(seen_dirac, hbar, ab, kbr)
         dirac.append(_defect(kbr, _bracket_of(ab, ba, hbar)))
         del kbr
         kpr = weyl_kernel(product, hbar, qgrid)
-        _record(seen_vonneumann, hbar, ab, kpr)
+        record_warnings(seen_vonneumann, hbar, ab, kpr)
         vonneumann.append(_defect(kpr, _jordan_of(ab, ba)))
         del kpr
         star.append(_star_step(ab, ba, product, bracket, seen_star))
@@ -247,10 +242,10 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
     reports = [
         AxiomReport(axiom="dirac", hbars=hbars, defects=np.array(dirac),
                     classical_ref=bracket.sup_norm(), notes=notes,
-                    warnings=_tagged(seen_dirac)),
+                    warnings=tagged_warnings(seen_dirac)),
         AxiomReport(axiom="vonneumann", hbars=hbars, defects=np.array(vonneumann),
                     classical_ref=product.sup_norm(), notes=notes,
-                    warnings=_tagged(seen_vonneumann)),
+                    warnings=tagged_warnings(seen_vonneumann)),
         _norm_limit_report(f, hbars, norms, notes, seen_norm),
     ]
     if clipped.count >= 2:
@@ -279,7 +274,7 @@ def _norms(f: SampledFunction, qgrid, hbars, seen: dict) -> list:
     norms = []
     for hbar in hbars:
         kernel = weyl_kernel(f, hbar, qgrid)
-        _record(seen, hbar, kernel)
+        record_warnings(seen, hbar, kernel)
         norms.append(op_norm(kernel))
     return norms
 

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from . import CONVENTIONS, __version__
-from .core import Grid1D, Grid2D, HbarSchedule, sample
+from .core import Grid1D, Grid2D, HbarSchedule, sample, tagged_warnings
 from .gaussian import GaussianObservable, positivity_verdict
 from .symbols import gaussian_field, poisson_field
 from . import asymptotics
@@ -365,10 +365,13 @@ def cmd_groupoid(args) -> int:
     schedule = cfg.schedule()
     rows = []
     ok = True
+    seen: dict = {}
     for hbar in schedule.values:
         res = groupoid_mod.wm_correspondence(f, hbar)
         rows.append([hbar, res["defect"], res["weyl_norm"]])
         ok = ok and res["defect"] <= 1e-5 * max(res["weyl_norm"], 1.0)
+        for message in res["warnings"]:
+            seen.setdefault(message, hbar)
     family = groupoid_mod.canonical_family(f, schedule.values)
     boundary = groupoid_mod.tangent_boundary_check(family)
     for hbar, defect, raw in zip(boundary.hbars, boundary.defects, boundary.raw):
@@ -377,7 +380,8 @@ def cmd_groupoid(args) -> int:
     write_report(
         "groupoid",
         _config_dict(cfg, sections=["wm_correspondence", "tangent_boundary"],
-                     boundary_notes=list(boundary.notes)),
+                     boundary_notes=list(boundary.notes),
+                     warnings=sorted(set(tagged_warnings(seen)) | set(boundary.warnings))),
         ["hbar", "defect", "scale_or_raw"],
         rows,
         cfg.out,

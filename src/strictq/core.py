@@ -58,6 +58,8 @@ __all__ = [
     "poisson_bracket",
     "trig_shift",
     "boundary_decay",
+    "record_warnings",
+    "tagged_warnings",
 ]
 
 #: Relative boundary magnitude above which decay warnings are attached.
@@ -221,6 +223,18 @@ def boundary_decay(values: np.ndarray, axis: int) -> float:
         return 0.0
     edge = max(np.max(np.abs(v[0])), np.max(np.abs(v[-1])))
     return float(edge / scale)
+
+
+def record_warnings(seen: dict, hbar: float, *sources) -> None:
+    """Remember each warning of ``sources`` with the first hbar that raised it."""
+    for source in sources:
+        for message in source.warnings:
+            seen.setdefault(message, hbar)
+
+
+def tagged_warnings(seen: dict) -> tuple:
+    """The recorded warnings, each tagged with the first hbar that raised it."""
+    return tuple(f"{message} (first at hbar={hbar:g})" for message, hbar in seen.items())
 
 
 def conjugate_grid(axis: Grid1D) -> Grid1D:

@@ -19,11 +19,20 @@ measures the operator-norm gap between the two constructions.
 The boundary check views a family of kernels together with a candidate
 limit symbol ft(q, v) as one object and asks, for every scheduled hbar,
 how far ``hbar * K(q + hbar v/2, q - hbar v/2)`` sits from ft(q, v); the
-kernel at off-grid points is its trigonometric interpolant.  The
-quantization maps carry a 1/hbar prefactor that the algebra-element
-statement of the continuity condition does not, so the check multiplies
-by hbar (making the canonical family pass identically) and reports the
-raw unmultiplied sequence alongside.
+kernel at off-grid points is its trigonometric interpolant, which wraps
+periodically, so fiber values with ``|hbar v/2|`` beyond a quarter of the
+box are clipped out of the comparison.  The quantization maps carry a
+1/hbar prefactor that the algebra-element statement of the continuity
+condition does not, so the check multiplies by hbar (making the
+canonical family pass identically) and reports the raw unmultiplied
+sequence alongside.
+
+Per hbar the shifted diagonals for the whole fiber window come from one
+Fourier pass: a 2-D FFT of the kernel, whose coefficients are regrouped
+by diagonal frequency (the sum of the two wavenumbers) and separation
+frequency (their difference); one chirp-z transform (Bluestein) from the
+separation frequencies onto the uniform run of shifts ``hbar v/2``; and
+one inverse FFT along the diagonal, O(n^2 log n) per hbar in all.
 
 Off-grid evaluation is everywhere the band-limited interpolant, so the
 grids must contain the supports: convolution shifts must stay inside
@@ -36,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fft2, ifft
 
 from .core import (
     DECAY_TOL,
@@ -45,9 +55,11 @@ from .core import (
     SampledFunction,
     boundary_decay,
     conjugate_grid,
+    record_warnings,
+    tagged_warnings,
     trig_shift,
 )
-from .weyl import OperatorKernel, op_norm, weyl_kernel
+from .weyl import OperatorKernel, _chirp_z, op_norm, weyl_kernel
 
 __all__ = [
     "GroupoidFunction",
@@ -222,13 +234,15 @@ def wm_correspondence(f: SampledFunction, hbar: float) -> dict:
     """Compare the semidirect representation of f-hat with the Weyl kernel.
 
     Returns the groupoid element, the operator-norm defect between the
-    two kernel constructions, and the Weyl kernel norm for scale.
+    two kernel constructions, the Weyl kernel norm for scale, and the
+    warnings of both kernels.
     """
     fhat = fiber_hat(f, hbar)
     rep = semidirect_rep(fhat)
     kw = weyl_kernel(f, hbar, f.grid.qaxis)
     diff = OperatorKernel(grid=kw.grid, matrix=rep.matrix - kw.matrix, hbar=hbar)
-    return {"fhat": fhat, "defect": op_norm(diff), "weyl_norm": op_norm(kw)}
+    return {"fhat": fhat, "defect": op_norm(diff), "weyl_norm": op_norm(kw),
+            "warnings": tuple(dict.fromkeys(rep.warnings + kw.warnings))}
 
 
 @dataclass(frozen=True)
@@ -264,29 +278,96 @@ class BoundaryReport:
     raw: np.ndarray
     v_windows: tuple
     notes: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
+
+
+def _sum_difference_index(n: int) -> np.ndarray:
+    """Where each 2-D Fourier coefficient lands in the (J, m) coefficient table.
+
+    The coefficient at FFT indices (j1, j2), with integer wavenumbers
+    (w1, w2), belongs to the diagonal frequency ``J = (j1 + j2) mod n``
+    and the separation frequency ``m = w1 - w2`` in [-n, n], the table
+    cell ``J (2n + 1) + m + n``.  For even n the Nyquist column is read
+    at both ``w2 = -n/2`` and ``w2 = +n/2`` (the cosine split of
+    :func:`trig_shift`): its second reading follows the n^2 entries.  The
+    index addresses the real and imaginary parts, interleaved as in the
+    float view of a complex array, so one ``bincount`` fills the table.
+    """
+    j = np.arange(n)
+    w = j - n * (j >= (n + 1) // 2)
+    cell = ((j[:, None] + j[None, :]) % n) * (2 * n + 1) + (w[:, None] - w[None, :] + n)
+    if n % 2 == 0:
+        cell = np.concatenate([cell.ravel(), cell[:, n // 2] - n])
+    cell = cell.ravel()
+    return np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
+
+
+def _coefficient_table(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``C[J, m]``: the 2-D Fourier coefficients of the matrix summed by (J, m).
+
+    A function of its own so that the spectrum is freed before the
+    chirp-z transform allocates its blocks.
+    """
+    n = matrix.shape[0]
+    spec = fft2(matrix, norm="forward")
+    if n % 2 == 0:
+        spec[:, n // 2] *= 0.5
+        spec = np.concatenate([spec.ravel(), spec[:, n // 2]])
+    table = np.bincount(index, spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
+    return table.view(complex).reshape(n, 2 * n + 1)
+
+
+def _shifted_diagonals(matrix: np.ndarray, index: np.ndarray, dq: float,
+                       s0: float, ds: float, t: np.ndarray) -> np.ndarray:
+    """Diagonals of the interpolant of ``matrix`` shifted by (+s, -s), s = s0 + t ds.
+
+    Returns ``D[i, b] = K(q_i + s_b, q_i - s_b)`` for the run of integers
+    ``t``, with ``K`` the periodic trigonometric interpolant of the
+    matrix: a plain exponential shift along the rows and a
+    Nyquist-symmetrized one along the columns, as :func:`trig_shift`
+    applies them.  With ``Kh = fft2(K)/n^2``,
+
+        D(q_i, s) = sum_J e^{2 pi i J i/n} sum_m C[J, m] e^{2 pi i m s/(n dq)},
+        C[J, m]   = sum_{j1 + j2 = J mod n, w1 - w2 = m} Kh[j1, j2],
+
+    so the sum over m is one chirp-z transform onto the run of s and the
+    sum over J is one inverse FFT.
+    """
+    n = matrix.shape[0]
+    kappa = 2.0 * np.pi / (n * dq)
+    m = np.arange(-n, n + 1)
+    out = np.empty((n, t.size), dtype=complex)
+    _chirp_z(_coefficient_table(matrix, index), kappa * ds, m, t,
+             np.exp(1j * kappa * s0 * m), 1.0, out)
+    return ifft(out, axis=0, norm="forward", overwrite_x=True)
 
 
 def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     """Sup distance of ``hbar K(q + hbar v/2, q - hbar v/2)`` from the limit symbol.
 
-    The kernel is evaluated off grid by trigonometric interpolation (one
-    FFT shift per fiber value); fiber values whose shift would wrap
-    around the box are clipped out of the comparison window, which is
-    reported per hbar.
+    The kernel is evaluated off grid by its trigonometric interpolant,
+    which wraps periodically; all fiber values of one hbar are read from
+    one 2-D FFT of the kernel, one chirp-z transform across the fiber
+    window and one inverse FFT (see :func:`_shifted_diagonals`).  Fiber
+    values whose shift ``|hbar v/2|`` exceeds a quarter of the box would
+    wrap around it and are clipped out of the comparison window, which is
+    reported per hbar.  The warnings of the kernels and of the limit
+    symbol are reported once each, tagged with the first hbar at which
+    they were compared.
     """
     symbol = family.boundary_symbol
     if not isinstance(symbol.grid, Grid2D):
         raise GridError("boundary symbol must live on a (q, v) grid")
     qaxis, vaxis = symbol.grid.qaxis, symbol.grid.paxis
     v = vaxis.points
+    quarter = 0.25 * (qaxis.hi - qaxis.lo)
+    index = _sum_difference_index(qaxis.n)
     defects, raws, windows = [], [], []
     notes = []
+    seen: dict = {}
     for hbar, kernel in zip(family.hbars, family.kernels):
         if kernel.grid != qaxis:
             raise GridError("family kernels must share the symbol's position axis")
-        n = qaxis.n
-        dq = qaxis.delta
-        quarter = 0.25 * (qaxis.hi - qaxis.lo)
         ok = np.abs(hbar * v / 2.0) <= quarter
         if not ok.any():
             raise TruncationError(f"no representable fiber window at hbar={hbar:g}")
@@ -294,13 +375,12 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
             notes.append(
                 f"hbar={hbar:g}: fiber window clipped to |v| <= {2 * quarter / hbar:g}"
             )
-        fk = np.fft.fft(kernel.matrix, axis=0)
-        kx = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
-        diag = np.empty((n, int(ok.sum())), dtype=complex)
-        for col, vk in enumerate(v[ok]):
-            rows = np.fft.ifft(fk * np.exp(1j * kx * (hbar * vk / 2.0))[:, None], axis=0)
-            both = trig_shift(rows, 1, -hbar * vk / 2.0, dq)
-            diag[:, col] = np.diagonal(both)
+        record_warnings(seen, hbar, kernel, symbol)
+        # fiber values v_c + t dv, with integer t centred on the window
+        cols = np.flatnonzero(ok)
+        c = (cols[0] + cols[-1]) // 2
+        diag = _shifted_diagonals(kernel.matrix, index, qaxis.delta, hbar * v[c] / 2.0,
+                                  hbar * vaxis.delta / 2.0, cols - c)
         gap = np.abs(hbar * diag - symbol.values[:, ok])
         defects.append(float(np.max(gap)))
         raws.append(float(np.max(np.abs(diag - symbol.values[:, ok]))))
@@ -311,4 +391,5 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
         raw=np.array(raws),
         v_windows=tuple(windows),
         notes=tuple(notes),
+        warnings=tagged_warnings(seen),
     )

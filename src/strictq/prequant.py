@@ -69,6 +69,28 @@ def _clean(terms: dict) -> dict:
     return {key: c for key, c in terms.items() if c != 0.0}
 
 
+def _d_x(terms: dict) -> dict:
+    return _clean({(a, b, d): 2j * np.pi * a * c for (a, b, d), c in terms.items()})
+
+
+def _d_y(terms: dict) -> dict:
+    out: dict = {}
+    for (a, b, d), c in terms.items():
+        if d > 0:
+            key = (a, b, d - 1)
+            out[key] = out.get(key, 0.0) + c * d
+        key = (a, b, d)
+        out[key] = out.get(key, 0.0) + 2j * np.pi * b * c
+    return _clean(out)
+
+
+def _mul_y(terms: dict, cap: int) -> dict:
+    degree = max((d for (_, _, d) in terms), default=0)
+    if degree + 1 > cap:
+        raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
+    return {(a, b, d + 1): c for (a, b, d), c in terms.items()}
+
+
 @dataclass(frozen=True)
 class TrigSection:
     """Finite sum of terms coeff * y^d * e^{2 pi i (a x + b y)}.
@@ -106,24 +128,13 @@ class TrigSection:
 
     # term-wise calculus
     def d_x(self) -> "TrigSection":
-        return TrigSection(_clean(
-            {(a, b, d): 2j * np.pi * a * c for (a, b, d), c in self.terms.items()}
-        ))
+        return TrigSection(_d_x(self.terms))
 
     def d_y(self) -> "TrigSection":
-        out: dict = {}
-        for (a, b, d), c in self.terms.items():
-            if d > 0:
-                key = (a, b, d - 1)
-                out[key] = out.get(key, 0.0) + c * d
-            key = (a, b, d)
-            out[key] = out.get(key, 0.0) + 2j * np.pi * b * c
-        return TrigSection(_clean(out))
+        return TrigSection(_d_y(self.terms))
 
     def mul_y(self, cap: int = DEGREE_CAP) -> "TrigSection":
-        if self.degree() + 1 > cap:
-            raise DegreeCapError(f"y-degree {self.degree() + 1} exceeds cap {cap}")
-        return TrigSection({(a, b, d + 1): c for (a, b, d), c in self.terms.items()})
+        return TrigSection(_mul_y(self.terms, cap))
 
     def mul_exp(self, m: int, k: int) -> "TrigSection":
         return TrigSection({(a + m, b + k, d): c for (a, b, d), c in self.terms.items()})
@@ -164,18 +175,28 @@ def prequant_apply(f: TorusObservable, phi: TrigSection, N: int,
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    out = TrigSection({})
-    phi_x = phi.d_x()
-    phi_y = phi.d_y()
-    y_phi = phi.mul_y(cap)
+    phi_x = _d_x(phi.terms)
+    phi_y = _d_y(phi.terms)
+    y_phi = _mul_y(phi.terms, cap)
+    out: dict = {}
     for (m, k), c in f.terms.items():
-        inner = phi
+        # per key: phi + (k/N) d_x phi - (k/N)(2 pi i N) y phi - (m/N) d_y phi
+        inner = dict(phi.terms)
         if k != 0:
-            inner = inner + (k / N) * phi_x - (k / N) * (2j * np.pi * N) * y_phi
+            kn = k / N
+            ky = kn * (2j * np.pi * N)
+            for key, x in phi_x.items():
+                inner[key] = inner.get(key, 0.0) + kn * x
+            for key, x in y_phi.items():
+                inner[key] = inner.get(key, 0.0) - ky * x
         if m != 0:
-            inner = inner - (m / N) * phi_y
-        out = out + c * inner.mul_exp(m, k)
-    return out
+            mn = m / N
+            for key, x in phi_y.items():
+                inner[key] = inner.get(key, 0.0) - mn * x
+        for (a, b, d), x in inner.items():
+            key = (a + m, b + k, d)
+            out[key] = out.get(key, 0.0) + c * x
+    return TrigSection(_clean(out))
 
 
 def poisson_torus(f: TorusObservable, g: TorusObservable, N: int) -> TorusObservable:

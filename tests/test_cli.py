@@ -162,6 +162,20 @@ def test_groupoid_report(tmp_path):
     assert code == 0
     data = read_json(out)
     assert len(data["rows"]) == 4  # correspondence + boundary, two hbars each
+    assert data["config"]["warnings"] == []
+
+
+def test_groupoid_report_names_decay_warnings(tmp_path):
+    # on a box of +-4 the observable has not decayed at the p-boundary: the
+    # boundary defects fail the 1e-6 gate and the warnings that explain it,
+    # from the Weyl kernels and from the limit symbol, reach the report
+    out = tmp_path / "gp.json"
+    code = run(["groupoid", "--n", "96", "--box", "4", "--hbar-count", "2", "--out", str(out)])
+    assert code == 1
+    assert read_json(out)["config"]["warnings"] == [
+        "p-boundary decay 2.33e-04 above tolerance (first at hbar=1)",
+        "p-boundary truncation: relative edge magnitude 2.33e-04 (first at hbar=1)",
+    ]
 
 
 def test_star_report(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from strictq.core import Grid1D, Grid2D, fourier_fiber, sample
+from strictq.core import Grid1D, Grid2D, SampledFunction, fourier_fiber, sample, trig_shift
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import (
     BoundaryReport,
@@ -232,3 +234,88 @@ def test_fiber_hat_matches_oracle_free_path():
     with_oracle = fiber_hat(f, 0.5)
     without = fiber_hat(f.with_values(f.values), 0.5)
     assert np.max(np.abs(with_oracle.values - without.values)) < 1e-8
+
+
+# ------------------------------------------- boundary check against the oracle
+
+def oracle_boundary_check(family):
+    """The boundary check by one FFT shift of the whole kernel per fiber value.
+
+    Returns (defects, raw, windows, notes): the reference for the check,
+    which reads all fiber values of one hbar from one Fourier pass.
+    """
+    symbol = family.boundary_symbol
+    qaxis, vaxis = symbol.grid.qaxis, symbol.grid.paxis
+    v = vaxis.points
+    n, dq = qaxis.n, qaxis.delta
+    quarter = 0.25 * (qaxis.hi - qaxis.lo)
+    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
+    defects, raws, windows, notes = [], [], [], []
+    for hbar, kernel in zip(family.hbars, family.kernels):
+        ok = np.abs(hbar * v / 2.0) <= quarter
+        if not ok.all():
+            notes.append(f"hbar={hbar:g}: fiber window clipped to |v| <= {2 * quarter / hbar:g}")
+        fk = np.fft.fft(kernel.matrix, axis=0)
+        diag = np.empty((n, int(ok.sum())), dtype=complex)
+        for col, vk in enumerate(v[ok]):
+            rows = np.fft.ifft(fk * np.exp(1j * kx * (hbar * vk / 2.0))[:, None], axis=0)
+            diag[:, col] = np.diagonal(trig_shift(rows, 1, -hbar * vk / 2.0, dq))
+        defects.append(np.max(np.abs(hbar * diag - symbol.values[:, ok])))
+        raws.append(np.max(np.abs(diag - symbol.values[:, ok])))
+        windows.append((float(v[ok].min()), float(v[ok].max())))
+    return np.array(defects), np.array(raws), tuple(windows), tuple(notes)
+
+
+@settings(max_examples=10)
+@given(n=st.integers(64, 300), n_p=st.integers(64, 300), hbar=st.floats(0.3, 2.0),
+       ratio=st.floats(0.2, 0.8), noise=st.sampled_from([0.0, 0.05]),
+       seed=st.integers(0, 2**16))
+@example(n=384, n_p=384, hbar=1.0, ratio=0.25, noise=0.05, seed=0)
+@example(n=255, n_p=300, hbar=2.0, ratio=0.2, noise=0.05, seed=1)
+@example(n=256, n_p=64, hbar=0.3, ratio=0.8, noise=0.0, seed=2)
+def test_boundary_check_matches_oracle(n, n_p, hbar, ratio, noise, seed):
+    # odd and even n, windows clipped at |hbar v/2| <= L/4 or not, Hermitian
+    # kernels (noise 0) and non-Hermitian perturbations of them
+    grid = Grid2D(Grid1D(-12.0, 12.0, n), Grid1D(-12.0, 12.0, n_p))
+    f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
+    fam = canonical_family(f, [hbar, hbar * ratio])
+    rng = np.random.default_rng(seed)
+    perturbation = noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    kernels = tuple(OperatorKernel(grid=k.grid, matrix=k.matrix + perturbation, hbar=k.hbar)
+                    for k in fam.kernels)
+    family = KernelFamily(hbars=fam.hbars, kernels=kernels, boundary_symbol=fam.boundary_symbol)
+    rep = tangent_boundary_check(family)
+    defects, raws, windows, notes = oracle_boundary_check(family)
+    for got, want in ((rep.defects, defects), (rep.raw, raws)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert rep.v_windows == windows
+    assert rep.notes == notes
+
+
+def test_boundary_no_window_raises():
+    axis = Grid1D(-4.0, 4.0, 64)
+    grid = Grid2D(axis, axis)
+    f = sampled_gaussian(GaussianObservable(), grid)
+    fam = canonical_family(f, [1.0])
+    far = SampledFunction(grid=Grid2D(axis, Grid1D(50.0, 60.0, 64)),
+                          values=fam.boundary_symbol.values)
+    with pytest.raises(TruncationError, match="no representable fiber window"):
+        tangent_boundary_check(KernelFamily(hbars=fam.hbars, kernels=fam.kernels,
+                                            boundary_symbol=far))
+
+
+def test_boundary_warnings_kept_once_with_first_hbar():
+    axis = Grid1D(-12.0, 12.0, 128)
+    grid = Grid2D(axis, axis)
+    f = sampled_gaussian(GaussianObservable(), grid)
+    fam = canonical_family(f, [1.0, 0.5, 0.25])
+    messages = ((), ("band edge",), ("band edge", "decay"))
+    kernels = tuple(OperatorKernel(grid=k.grid, matrix=k.matrix, hbar=k.hbar, warnings=w)
+                    for k, w in zip(fam.kernels, messages))
+    symbol = fam.boundary_symbol.with_values(fam.boundary_symbol.values,
+                                             warnings=("truncation",))
+    rep = tangent_boundary_check(KernelFamily(hbars=fam.hbars, kernels=kernels,
+                                              boundary_symbol=symbol))
+    assert rep.warnings == ("truncation (first at hbar=1)", "band edge (first at hbar=0.5)",
+                            "decay (first at hbar=0.25)")
+    assert tangent_boundary_check(fam).warnings == ()

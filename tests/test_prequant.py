@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictq.prequant import (
+    DEGREE_CAP,
     DegreeCapError,
+    TrigSection,
     cos_x,
     cos_y,
     dirac_identity_check,
@@ -35,6 +39,29 @@ def random_section(rng, span=2, max_deg=2, terms=3):
         re, im = rng.normal(size=2)
         out[key] = complex(re, im)
     return trig_section(out)
+
+
+def oracle_prequant_apply(f, phi, N, cap=DEGREE_CAP):
+    """Q_N(f) phi by TrigSection arithmetic, one section per term of the formula."""
+    out = TrigSection({})
+    phi_x = phi.d_x()
+    phi_y = phi.d_y()
+    y_phi = phi.mul_y(cap)
+    for (m, k), c in f.terms.items():
+        inner = phi
+        if k != 0:
+            inner = inner + (k / N) * phi_x - (k / N) * (2j * np.pi * N) * y_phi
+        if m != 0:
+            inner = inner - (m / N) * phi_y
+        out = out + c * inner.mul_exp(m, k)
+    return out
+
+
+coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+observables = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coefficients,
+                              min_size=1, max_size=4).map(torus_observable)
+sections = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
+                           coefficients, min_size=1, max_size=4).map(trig_section)
 
 
 BASIS_SECTIONS = [trig_section({(a, b, d): 1.0})
@@ -100,6 +127,25 @@ def test_linearity_exact():
     lhs2 = prequant_apply(f, combined_phi, N)
     rhs2 = prequant_apply(f, phi, N) + (0.5 - 1j) * prequant_apply(f, psi, N)
     assert (lhs2 - rhs2).sup_coeff() < 1e-14 * max(lhs2.sup_coeff(), 1.0)
+
+
+@settings(max_examples=200)
+@given(f=observables, g=observables, phi=sections, N=st.integers(1, 8))
+def test_apply_matches_section_arithmetic_bit_for_bit(f, g, phi, N):
+    # same per-key arithmetic in the same order: equal coefficients, not close ones
+    assert prequant_apply(f, phi, N).terms == oracle_prequant_apply(f, phi, N).terms
+    inner = prequant_apply(g, phi, N, cap=12)
+    assert inner.terms == oracle_prequant_apply(g, phi, N, cap=12).terms
+    assert (prequant_apply(f, inner, N, cap=12).terms
+            == oracle_prequant_apply(f, inner, N, cap=12).terms)
+
+
+@settings(max_examples=100)
+@given(f=observables, g=observables, phis=st.lists(sections, min_size=1, max_size=3),
+       N=st.integers(1, 8))
+def test_dirac_identity_random_polynomials(f, g, phis, N):
+    # [Q(f), Q(g)] = i hbar Q({f, g}) holds term by term, so only rounding remains
+    assert dirac_identity_check(f, g, N, phis, cap=12)["max_residual"] <= 1e-10
 
 
 def test_degree_cap():
