@@ -10,8 +10,10 @@ The package provides desk-scale, fully deterministic implementations of
   (:mod:`strictq.gaussian`);
 * asymptotic checks of the strict-quantization axioms over hbar
   schedules (:mod:`strictq.asymptotics`);
-* the universal rotation algebra, its finite-dimensional representations
-  and the fuzzy-torus quantization maps (:mod:`strictq.rotation`);
+* the universal rotation algebra A_theta and its finite-dimensional
+  representations (:mod:`strictq.rotation`); classical torus observables
+  are its theta = 0 elements, and the fuzzy-torus map Q_N is the
+  symmetrized map from them into the theta = K/N representation;
 * the exact symbolic prequantization operator on the torus
   (:mod:`strictq.prequant`);
 * semidirect-product groupoid convolution and the tangent-groupoid

@@ -13,10 +13,7 @@ normalization conventions that were fixed against independent oracles,
 so a report is self-describing.
 
 Exit codes: 0 on success, 1 when a numerical pass/fail predicate fails,
-2 on usage errors.  ``STRICTQ_THREADS`` caps the worker threads used for
-independent sweep cells; results are collected in deterministic order,
-so reports are bit-identical for identical configs regardless of the
-thread count.
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import gcd
 
 import numpy as np
@@ -84,22 +79,6 @@ class RunConfig:
 
     def schedule(self) -> HbarSchedule:
         return HbarSchedule(self.hbar_start, self.hbar_ratio, self.hbar_count)
-
-
-def _threads() -> int:
-    raw = os.environ.get("STRICTQ_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
-
-
-def _map(fn, items):
-    items = list(items)
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_report(check: str, config: dict, columns: list, rows: list, path: str,
@@ -190,17 +169,12 @@ def cmd_positivity(args) -> int:
         side = [float(np.sqrt(r) * hbar / 2.0) for r in ratios]
         cells = [(a, a) for a in side]
     qgrid = Grid1D(-cfg.box, cfg.box, cfg.n)
-
-    def run(cell):
-        a, b = cell
+    rows, ok = [], True
+    for a, b in cells:
         verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
-        return [a, b, hbar, verdict["min_eigenvalue"], float(verdict["positive"])]
-
-    rows = _map(run, cells)
-    ok = True
-    for a, b, _, _, pos in rows:
+        rows.append([a, b, hbar, verdict["min_eigenvalue"], float(verdict["positive"])])
         expected = a * b >= (hbar / 2.0) ** 2 * (1.0 - 1e-12)
-        ok = ok and (bool(pos) == expected)
+        ok = ok and (bool(verdict["positive"]) == expected)
     write_report(
         "positivity",
         _config_dict(cfg, hbar=hbar,
@@ -221,15 +195,14 @@ def cmd_torus(args) -> int:
     for N in n_values:
         if gcd(K, N) != 1:
             raise ValueError(f"K={K} and N={N} are not coprime")
-    rng_seed = cfg.seed
-
-    def run(N):
+    rows = []
+    for N in n_values:
         rep = rotation.rep_matrices(N, K)
         defect = rotation.dirac_defect(m, k, N)
         direct_err = float(np.max(np.abs(defect["direct"] - defect["matrix"])))
         comm = float(np.max(np.abs(
             rep.V @ rep.U - np.exp(2j * np.pi * K / N) * rep.U @ rep.V)))
-        rng = np.random.default_rng(rng_seed + N)
+        rng = np.random.default_rng(cfg.seed + N)
         homo = star = 0.0
         for _ in range(3):
             a = _random_element(rng, rep.theta)
@@ -242,10 +215,8 @@ def cmd_torus(args) -> int:
         center = rotation.center_check(N, 0, N, K)
         center_err = abs(abs(center["scalar"]) - 1.0) if center["is_central"] else 1.0
         scaled = abs(defect["scalar"]) * N**3
-        return [N, K, abs(defect["scalar"]), scaled, direct_err, homo, star, comm,
-                center_err]
-
-    rows = _map(run, n_values)
+        rows.append([N, K, abs(defect["scalar"]), scaled, direct_err, homo, star, comm,
+                     center_err])
     ok = all(r[4] <= 1e-12 and r[5] <= 1e-12 and r[6] <= 1e-12 and r[7] <= 1e-12
              and r[8] <= 1e-13 for r in rows)
     write_report(
@@ -306,10 +277,8 @@ def cmd_landsman(args) -> int:
         sB = landsman_mod.gaussian_fiber_symbol(gB, metric, base, fiber)
         sBr = landsman_mod.fiber_fourier(br, metric)
         adm = min(landsman_mod.hbar_admissible(s, metric) for s in (sA, sB, sBr))
-        start = min(0.9 * adm, 0.16)
-        hbars = start * 0.5 ** np.arange(max(schedule.count, 2))
         rows = []
-        for hbar in hbars:
+        for hbar in _landsman_hbars(schedule, min(0.9 * adm, 0.16)):
             ka = landsman_mod.landsman_kernel(sA, hbar, metric)
             kb = landsman_mod.landsman_kernel(sB, hbar, metric)
             kbr = landsman_mod.landsman_kernel(sBr, hbar, metric)
@@ -338,7 +307,7 @@ def cmd_landsman(args) -> int:
         adm = landsman_mod.hbar_admissible(fsym, metric)
         rows = []
         ok = True
-        for hbar in (0.9 * adm) * 0.5 ** np.arange(max(schedule.count, 2)):
+        for hbar in _landsman_hbars(schedule, 0.9 * adm):
             kernel = landsman_mod.landsman_kernel(fsym, hbar, metric)
             herm = float(np.max(np.abs(kernel.matrix - kernel.matrix.conj().T)))
             scale = float(np.max(np.abs(kernel.matrix)))
@@ -354,6 +323,12 @@ def cmd_landsman(args) -> int:
         cfg.format,
     )
     return 0 if ok else 1
+
+
+def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
+    """The schedule started at min(cap, its start), with at least two values."""
+    return replace(schedule, start=min(cap, schedule.start),
+                   count=max(schedule.count, 2)).values
 
 
 def cmd_groupoid(args) -> int:

@@ -298,12 +298,12 @@ def phi_hbar_inverse(x, xp, hbar: float, metric: Metric1D):
     return q, X
 
 
-def hbar_admissible(fsym: FiberSymbol, metric: Metric1D, margin: float = 1.0) -> float:
+def hbar_admissible(fsym: FiberSymbol, metric: Metric1D) -> float:
     """Largest hbar for which the support of ft maps inside the chart.
 
     On a circle the bound keeps geodesics within half the circumference;
     on the line/interval it keeps them inside the arclength range of the
-    base grid.  ``margin`` < 1 tightens the bound.
+    base grid.
     """
     R = fsym.support_radius
     base = fsym.base.points
@@ -317,7 +317,7 @@ def hbar_admissible(fsym: FiberSymbol, metric: Metric1D, margin: float = 1.0) ->
     if metric.domain == "circle":
         # keep geodesic separations short of the antipodal cut
         bound = metric.circumference / (2.0 * root_g.max() * R)
-        return float(margin * bound)
+        return float(bound)
     s_lo, s_hi = metric.s_range()
     grid_lo = metric.arclength(fsym.base.lo)
     grid_hi = metric.arclength(fsym.base.hi)
@@ -325,7 +325,7 @@ def hbar_admissible(fsym: FiberSymbol, metric: Metric1D, margin: float = 1.0) ->
     hi = min(s_hi, grid_hi)
     room = np.minimum(sq - lo, hi - sq)
     bound = 2.0 * np.min(room / (root_g * R))
-    return float(margin * bound)
+    return float(bound)
 
 
 def landsman_kernel(fsym: FiberSymbol, hbar: float, metric: Metric1D) -> OperatorKernel:

@@ -7,7 +7,9 @@ The prequantization operator of an observable f on the area-N torus
                                       - d_x f d_y phi ].
 
 Everything here is exact symbol pushing: observables are finite Fourier
-sums ``e^{2 pi i (m x + k y)}`` and sections are finite sums of terms
+sums of ``e^{2 pi i (m x + k y)}``, the theta = 0 elements of
+:mod:`strictq.rotation` (which also holds the bracket :func:`poisson_torus`
+used here), and sections are finite sums of terms
 ``y^d e^{2 pi i (a x + b y)}``.  That ring is closed under Q_N(f)
 (multiplication by y raises the degree d by one), so Dirac's condition
 
@@ -35,11 +37,10 @@ with ``e^{2 pi i a y}`` and the y-pair with ``e^{2 pi i a x}``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
 
 import numpy as np
 
-from .rotation import TORUS_HBAR, TorusObservable, torus_observable
+from .rotation import TORUS_HBAR, RotAlgElement, _clean, poisson_torus, torus_observable
 
 __all__ = [
     "TrigSection",
@@ -63,10 +64,6 @@ DEGREE_CAP = 8
 
 class DegreeCapError(ValueError):
     """Raised when an operation would exceed the configured y-degree cap."""
-
-
-def _clean(terms: dict) -> dict:
-    return {key: c for key, c in terms.items() if c != 0.0}
 
 
 def _d_x(terms: dict) -> dict:
@@ -117,14 +114,8 @@ class TrigSection:
     def __rmul__(self, scalar) -> "TrigSection":
         return TrigSection(_clean({k: scalar * c for k, c in self.terms.items()}))
 
-    def conj(self) -> "TrigSection":
-        return TrigSection({(-a, -b, d): np.conj(c) for (a, b, d), c in self.terms.items()})
-
     def sup_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def degree(self) -> int:
-        return max((d for (_, _, d) in self.terms), default=0)
 
     # term-wise calculus
     def d_x(self) -> "TrigSection":
@@ -146,23 +137,23 @@ def trig_section(terms: dict) -> TrigSection:
                         for (a, b, d), c in terms.items()})
 
 
-def sin_x() -> TorusObservable:
+def sin_x() -> RotAlgElement:
     return torus_observable({(1, 0): -0.5j, (-1, 0): 0.5j})
 
 
-def cos_x() -> TorusObservable:
+def cos_x() -> RotAlgElement:
     return torus_observable({(1, 0): 0.5, (-1, 0): 0.5})
 
 
-def sin_y() -> TorusObservable:
+def sin_y() -> RotAlgElement:
     return torus_observable({(0, 1): -0.5j, (0, -1): 0.5j})
 
 
-def cos_y() -> TorusObservable:
+def cos_y() -> RotAlgElement:
     return torus_observable({(0, 1): 0.5, (0, -1): 0.5})
 
 
-def prequant_apply(f: TorusObservable, phi: TrigSection, N: int,
+def prequant_apply(f: RotAlgElement, phi: TrigSection, N: int,
                    cap: int = DEGREE_CAP) -> TrigSection:
     """Apply the prequantization operator of f to a section, exactly.
 
@@ -199,30 +190,7 @@ def prequant_apply(f: TorusObservable, phi: TrigSection, N: int,
     return TrigSection(_clean(out))
 
 
-def poisson_torus(f: TorusObservable, g: TorusObservable, N: int) -> TorusObservable:
-    """Bracket on the area-N torus: (1/N)(d_x f d_y g - d_y f d_x g), exact.
-
-    Per-mode contributions are accumulated with exactly rounded sums, so
-    antisymmetric cancellations (e.g. {f, f} = 0) come out as true zeros.
-    """
-    parts: dict = {}
-    base = -(4.0 * np.pi**2 / N)
-    for (m1, k1), c1 in f.terms.items():
-        for (m2, k2), c2 in g.terms.items():
-            # factor first, complex product last: swapped pairs then cancel
-            # exactly (complex multiplication is commutative bit for bit)
-            coeff = (base * (m1 * k2 - k1 * m2)) * (c1 * c2)
-            if coeff != 0.0:
-                parts.setdefault((m1 + m2, k1 + k2), []).append(coeff)
-    out = {}
-    for key, vals in parts.items():
-        total = complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
-        if total != 0.0:
-            out[key] = total
-    return TorusObservable(out)
-
-
-def dirac_identity_check(f: TorusObservable, g: TorusObservable, N: int,
+def dirac_identity_check(f: RotAlgElement, g: RotAlgElement, N: int,
                          test_sections, cap: int = DEGREE_CAP) -> dict:
     """Residual of [Q(f), Q(g)] phi = i hbar Q({f, g}) phi over test sections.
 

@@ -1,8 +1,8 @@
 """The universal rotation algebra, its representations, and torus quantization.
 
-Elements of the algebra are finite linear combinations of basis symbols
-``F[m, k]`` (m, k integers) over a fixed deformation parameter theta,
-multiplying by
+Elements of the algebra A_theta are finite linear combinations of basis
+symbols ``F[m, k]`` (m, k integers) over a fixed deformation parameter
+theta, multiplying by
 
     F[m, k] * F[m', k'] = e^{2 pi i m' k theta} F[m + m', k + k']
 
@@ -13,10 +13,16 @@ with involution ``F[m, k]^* = e^{2 pi i m k theta} F[-m, -k]`` and unit
 For rational ``theta = K/N`` (reduced) the algebra has an N-dimensional
 irreducible representation by the clock matrix ``U`` (diagonal phases
 ``e^{2 pi i k / N}``) and the step-K shift matrix ``V``; ``represent``
-sends ``F[m, k]`` to ``U^m V^k`` in that order.  The torus quantization
-map adds the symmetrizing phase,
+sends ``F[m, k]`` to ``U^m V^k`` in that order.
 
-    Q(e^{2 pi i (m x + k y)}) = e^{i pi m k K/N} U^m V^k,
+Classical torus observables, the Fourier polynomials
+``f(x, y) = sum c[m, k] e^{2 pi i (m x + k y)}``, are the theta = 0
+elements: at theta = 0 the product is pointwise multiplication of the
+functions and the involution is complex conjugation.  The torus
+quantization map Q_N deforms this commutative algebra into the
+theta = K/N representation, adding the symmetrizing phase,
+
+    Q_N(e^{2 pi i (m x + k y)}) = e^{i pi m k K/N} U^m V^k,
 
 which makes real observables go to Hermitian matrices.
 
@@ -31,14 +37,13 @@ computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import fsum, gcd
 
 import numpy as np
 
 __all__ = [
     "RotAlgElement",
     "TorusRep",
-    "TorusObservable",
     "TORUS_HBAR",
     "rot_element",
     "convolve",
@@ -47,7 +52,7 @@ __all__ = [
     "represent",
     "torus_observable",
     "quantize_torus",
-    "poisson_exponentials",
+    "poisson_torus",
     "dirac_defect",
     "multiplication_action",
     "translation_action",
@@ -58,8 +63,8 @@ __all__ = [
 TORUS_HBAR = 1.0 / (2.0 * np.pi)
 
 
-def _clean(terms: dict, tol: float = 0.0) -> dict:
-    return {mk: c for mk, c in terms.items() if abs(c) > tol}
+def _clean(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c != 0.0}
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,19 @@ class RotAlgElement:
 
     def sup_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def __call__(self, x, y):
+        """The symbol sum c[m, k] e^{2 pi i (m x + k y)} at the points (x, y)."""
+        out = 0.0 + 0.0j
+        for (m, k), c in self.terms.items():
+            out = out + c * np.exp(2j * np.pi * (m * np.asarray(x) + k * np.asarray(y)))
+        return out
+
+    def is_real(self, tol: float = 0.0) -> bool:
+        """Fixed by :func:`involution`; at theta = 0, a real-valued function."""
+        star = involution(self)
+        return all(abs(star.coeff(*mk) - self.coeff(*mk)) <= tol
+                   for mk in self.terms.keys() | star.terms.keys())
 
 
 def rot_element(theta: float, terms: dict) -> RotAlgElement:
@@ -167,56 +185,59 @@ def _u_pow_v_pow(rep: TorusRep, m: int, k: int) -> np.ndarray:
     return out
 
 
-def represent(a: RotAlgElement, rep: TorusRep) -> np.ndarray:
-    """Sum of terms(m, k) * U^m V^k; requires a.theta = K/N reduced."""
-    if abs(a.theta - rep.theta) > 1e-15:
-        raise ValueError(f"element theta {a.theta} does not match rep K/N = {rep.theta}")
+def _sum_modes(terms: dict, rep: TorusRep) -> np.ndarray:
     out = np.zeros((rep.N, rep.N), dtype=complex)
-    for (m, k), c in a.terms.items():
+    for (m, k), c in terms.items():
         out += c * _u_pow_v_pow(rep, m, k)
     return out
 
 
-@dataclass(frozen=True)
-class TorusObservable:
-    """Finite Fourier sum f(x, y) = sum c[m, k] e^{2 pi i (m x + k y)}."""
-
-    terms: dict = field(default_factory=dict)
-
-    def __call__(self, x, y):
-        out = 0.0 + 0.0j
-        for (m, k), c in self.terms.items():
-            out = out + c * np.exp(2j * np.pi * (m * np.asarray(x) + k * np.asarray(y)))
-        return out
-
-    def is_real(self, tol: float = 0.0) -> bool:
-        for (m, k), c in self.terms.items():
-            if abs(np.conj(self.terms.get((-m, -k), 0.0)) - c) > tol:
-                return False
-        return True
+def represent(a: RotAlgElement, rep: TorusRep) -> np.ndarray:
+    """Sum of terms(m, k) * U^m V^k; requires a.theta = K/N reduced."""
+    if abs(a.theta - rep.theta) > 1e-15:
+        raise ValueError(f"element theta {a.theta} does not match rep K/N = {rep.theta}")
+    return _sum_modes(a.terms, rep)
 
 
-def torus_observable(terms: dict) -> TorusObservable:
-    return TorusObservable({(int(m), int(k)): complex(c) for (m, k), c in terms.items()})
+def torus_observable(terms: dict) -> RotAlgElement:
+    """Fourier polynomial sum c[m, k] e^{2 pi i (m x + k y)}: the theta = 0 element."""
+    return rot_element(0.0, terms)
 
 
-def quantize_torus(f: TorusObservable, N: int, K: int = 1) -> np.ndarray:
-    """Q(f) = sum c[m, k] e^{i pi m k K/N} U^m V^k on the N-dimensional space."""
-    rep = rep_matrices(N, K)
-    out = np.zeros((N, N), dtype=complex)
-    for (m, k), c in f.terms.items():
-        out += c * np.exp(1j * np.pi * m * k * K / N) * _u_pow_v_pow(rep, m, k)
-    return out
+def quantize_torus(f: RotAlgElement, N: int, K: int = 1) -> np.ndarray:
+    """Q_N(f) = sum c[m, k] e^{i pi m k K/N} U^m V^k on the N-dimensional space.
 
-
-def poisson_exponentials(m1: int, k1: int, m2: int, k2: int, N: int) -> TorusObservable:
-    """Bracket of two exponentials on the area-N torus (h = 1 units).
-
-    {e1, e2} = (1/N)(d_x e1 d_y e2 - d_y e1 d_x e2)
-             = -(4 pi^2 / N)(m1 k2 - k1 m2) e^{2 pi i ((m1+m2) x + (k1+k2) y)}.
+    ``f`` is a classical observable (theta = 0); its image lives in the
+    theta = K/N representation.
     """
-    coeff = -(4.0 * np.pi**2 / N) * (m1 * k2 - k1 * m2)
-    return torus_observable({(m1 + m2, k1 + k2): coeff})
+    if f.theta != 0.0:
+        raise ValueError(f"quantize_torus needs a theta = 0 observable, got theta={f.theta}")
+    rep = rep_matrices(N, K)
+    return _sum_modes({(m, k): c * np.exp(1j * np.pi * m * k * K / N)
+                       for (m, k), c in f.terms.items()}, rep)
+
+
+def poisson_torus(f: RotAlgElement, g: RotAlgElement, N: int) -> RotAlgElement:
+    """Bracket on the area-N torus: (1/N)(d_x f d_y g - d_y f d_x g), exact.
+
+    Per-mode contributions are accumulated with exactly rounded sums, so
+    antisymmetric cancellations (e.g. {f, f} = 0) come out as true zeros.
+    """
+    parts: dict = {}
+    base = -(4.0 * np.pi**2 / N)
+    for (m1, k1), c1 in f.terms.items():
+        for (m2, k2), c2 in g.terms.items():
+            # factor first, complex product last: swapped pairs then cancel
+            # exactly (complex multiplication is commutative bit for bit)
+            coeff = (base * (m1 * k2 - k1 * m2)) * (c1 * c2)
+            if coeff != 0.0:
+                parts.setdefault((m1 + m2, k1 + k2), []).append(coeff)
+    out = {}
+    for key, vals in parts.items():
+        total = complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+        if total != 0.0:
+            out[key] = total
+    return RotAlgElement(0.0, out)
 
 
 def dirac_defect(m: int, n: int, N: int) -> dict:
@@ -230,10 +251,12 @@ def dirac_defect(m: int, n: int, N: int) -> dict:
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     scalar = 2j * (m * n * np.pi / N - np.sin(m * n * np.pi / N))
+    f = torus_observable({(m, 0): 1.0})
+    g = torus_observable({(0, n): 1.0})
     qmn = quantize_torus(torus_observable({(m, n): 1.0}), N, 1)
-    qf = quantize_torus(torus_observable({(m, 0): 1.0}), N, 1)
-    qg = quantize_torus(torus_observable({(0, n): 1.0}), N, 1)
-    qbr = quantize_torus(poisson_exponentials(m, 0, 0, n, N), N, 1)
+    qf = quantize_torus(f, N, 1)
+    qg = quantize_torus(g, N, 1)
+    qbr = quantize_torus(poisson_torus(f, g, N), N, 1)
     direct = (qf @ qg - qg @ qf) - 1j * TORUS_HBAR * qbr
     return {"scalar": scalar, "matrix": scalar * qmn, "direct": direct}
 
@@ -246,7 +269,7 @@ def multiplication_action(f, N: int) -> np.ndarray:
     agrees with ``quantize_torus`` bit for bit.
     """
     k = np.arange(N)
-    if isinstance(f, TorusObservable):
+    if isinstance(f, RotAlgElement):
         if any(kk != 0 for (_, kk) in f.terms):
             raise ValueError("multiplication_action needs an observable depending on x only")
         roots = np.exp(2j * np.pi * np.arange(N) / N)

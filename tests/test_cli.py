@@ -156,6 +156,18 @@ def test_landsman_exp2q_decreasing(tmp_path):
     assert all(d2 < d1 for d1, d2 in zip(defects, defects[1:]))
 
 
+def test_landsman_schedule_options(tmp_path):
+    # the circle and exp2q schedules start at min(--hbar-start, a fraction of
+    # the admissible hbar) and step by --hbar-ratio
+    for metric in ("circle", "exp2q"):
+        out = tmp_path / f"{metric}.json"
+        run(["landsman", "--metric", metric, "--n", "128", "--hbar-ratio", "0.7",
+             "--hbar-start", "0.05", "--out", str(out)])
+        hbars = np.array([row[0] for row in read_json(out)["rows"]])
+        assert hbars[0] == 0.05
+        assert np.allclose(hbars[1:] / hbars[:-1], 0.7, rtol=1e-14, atol=0.0)
+
+
 def test_groupoid_report(tmp_path):
     out = tmp_path / "gp.json"
     code = run(["groupoid", "--n", "192", "--hbar-count", "2", "--out", str(out)])
@@ -205,13 +217,3 @@ def test_star_report_names_band_edge_warnings(tmp_path):
         "symbol content at the resolved momentum band edge |p| = 2.0944 "
         "(first at hbar=0.03125)",
     ]
-
-
-def test_threads_env_does_not_change_report(tmp_path, monkeypatch):
-    out = tmp_path / "a.json"
-    monkeypatch.setenv("STRICTQ_THREADS", "1")
-    run(["positivity", "--n", "128", "--out", str(out)])
-    first = out.read_bytes()
-    monkeypatch.setenv("STRICTQ_THREADS", "3")
-    run(["positivity", "--n", "128", "--out", str(out)])
-    assert out.read_bytes() == first

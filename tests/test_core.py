@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from strictq.core import (
@@ -121,9 +123,21 @@ def test_fourier_fiber_rejects_no_decay(box16):
         fourier_fiber(f)
 
 
-def test_fourier_fiber_round_trip(box16):
-    f = sampled_gaussian(GaussianObservable(q0=0.3, p0=-0.4, alpha=1.2, beta=0.7), box16)
-    back = inverse_fourier_fiber(fourier_fiber(f), box16.paxis)
+@settings(max_examples=60)
+@given(n_q=st.integers(2, 64), n_p=st.integers(32, 300), half=st.floats(8.0, 16.0),
+       centre=st.floats(-40.0, 40.0), shift=st.floats(-2.0, 2.0),
+       alpha=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0))
+@example(n_q=512, n_p=512, half=16.0, centre=0.0, shift=-0.4, alpha=1.2, beta=0.7)
+@example(n_q=33, n_p=255, half=9.0, centre=-3.5, shift=1.0, alpha=1.0, beta=0.6)
+@example(n_q=32, n_p=127, half=12.0, centre=17.25, shift=0.0, alpha=0.8, beta=1.5)
+@example(n_q=17, n_p=256, half=8.0, centre=0.7, shift=-1.5, alpha=2.0, beta=0.9)
+def test_fourier_fiber_round_trip(n_q, n_p, half, centre, shift, alpha, beta):
+    # odd and even point counts on both axes, p-boxes off the origin; the
+    # Gaussian sits at least 6 from the p-boundary, so no DecayError
+    grid = Grid2D(Grid1D(-8.0, 8.0, n_q), Grid1D(centre - half, centre + half, n_p))
+    obs = GaussianObservable(q0=0.3, p0=centre + shift, alpha=alpha, beta=beta)
+    f = sampled_gaussian(obs, grid)
+    back = inverse_fourier_fiber(fourier_fiber(f), grid.paxis)
     assert np.max(np.abs(back.values - f.values)) < 1e-10
 
 

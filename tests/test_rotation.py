@@ -2,6 +2,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from strictq.rotation import (
@@ -11,7 +13,7 @@ from strictq.rotation import (
     dirac_defect,
     involution,
     multiplication_action,
-    poisson_exponentials,
+    poisson_torus,
     quantize_torus,
     rep_matrices,
     represent,
@@ -35,6 +37,39 @@ def random_element(rng, theta, terms=6, span=8):
         re, im = rng.normal(size=2)
         out[key] = complex(re, im)
     return rot_element(theta, out)
+
+
+def coeff_gap(a, b):
+    return max((abs(a.coeff(*k) - b.coeff(*k)) for k in set(a.terms) | set(b.terms)),
+               default=0.0)
+
+
+def phase_tol(scale, theta, *elements):
+    """1e-13 * max(scale, 1), widened by the rounding of the phases e^{2 pi i n theta}.
+
+    The phases are evaluated from the unreduced argument 2 pi n theta, whose
+    rounding grows like eps * 2 pi |n theta|; n never exceeds the product of
+    the summed largest |m| and |k| of the factors.  At theta = 0 this is the
+    plain 1e-13 gate.
+    """
+    big_m = sum(max(abs(m) for m, _ in e.terms) for e in elements)
+    big_k = sum(max(abs(k) for _, k in e.terms) for e in elements)
+    rounding = 8.0 * np.finfo(float).eps * 2.0 * np.pi * theta * big_m * big_k
+    return max(scale, 1.0) * (1e-13 + rounding)
+
+
+def l1(a):
+    # bounds the operator norm of every representation: U^m V^k is unitary
+    return sum(abs(c) for c in a.terms.values())
+
+
+coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+term_dicts = st.dictionaries(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), coefficients,
+                             min_size=1, max_size=6)
+thetas = st.one_of(st.sampled_from([0.0, 1.0 / 3.0, np.sqrt(2) - 1.0, 0.2, 5.0 / 7.0]),
+                   st.floats(0.0, 1.0, exclude_max=True))
+coprime_nk = st.integers(1, 16).flatmap(
+    lambda N: st.sampled_from([(N, K) for K in range(1, N + 1) if gcd(K, N) == 1]))
 
 
 # ------------------------------------------------------------- convolution
@@ -83,6 +118,15 @@ def test_convolve_associative():
         assert gap < 1e-13 * scale
 
 
+@settings(max_examples=150)
+@given(theta=thetas, a=term_dicts, b=term_dicts, c=term_dicts)
+def test_convolve_associative_property(theta, a, b, c):
+    a, b, c = (rot_element(theta, t) for t in (a, b, c))
+    lhs = convolve(convolve(a, b), c)
+    rhs = convolve(a, convolve(b, c))
+    assert coeff_gap(lhs, rhs) < phase_tol(lhs.sup_coeff(), theta, a, b, c)
+
+
 def test_involution_examples():
     assert involution(rot_element(0.4, {(1, 0): 1.0})).terms == {(-1, 0): 1.0 - 0.0j}
     out = involution(rot_element(1.0 / 3.0, {(1, 1): 1.0}))
@@ -107,6 +151,16 @@ def test_involution_anti_automorphism():
         keys = set(lhs.terms) | set(rhs.terms)
         gap = max(abs(lhs.coeff(*k) - rhs.coeff(*k)) for k in keys)
         assert gap < 1e-13 * max(lhs.sup_coeff(), 1.0)
+
+
+@settings(max_examples=150)
+@given(theta=thetas, a=term_dicts, b=term_dicts)
+def test_involution_anti_automorphism_property(theta, a, b):
+    a, b = rot_element(theta, a), rot_element(theta, b)
+    assert coeff_gap(involution(involution(a)), a) < phase_tol(a.sup_coeff(), theta, a)
+    lhs = involution(convolve(a, b))
+    rhs = convolve(involution(b), involution(a))
+    assert coeff_gap(lhs, rhs) < phase_tol(lhs.sup_coeff(), theta, a, b)
 
 
 # ---------------------------------------------------------- representations
@@ -155,6 +209,17 @@ def test_represent_homomorphism_and_star():
         assert np.max(np.abs(represent(involution(a), rep) - ra.conj().T)) < 1e-12
 
 
+@settings(max_examples=100)
+@given(nk=coprime_nk, a=term_dicts, b=term_dicts)
+def test_represent_star_homomorphism_property(nk, a, b):
+    rep = rep_matrices(*nk)
+    a, b = rot_element(rep.theta, a), rot_element(rep.theta, b)
+    ra, rb = represent(a, rep), represent(b, rep)
+    scale = max(l1(a) * l1(b), 1.0)
+    assert np.max(np.abs(represent(convolve(a, b), rep) - ra @ rb)) < 1e-13 * scale
+    assert np.max(np.abs(represent(involution(a), rep) - ra.conj().T)) < 1e-13 * max(l1(a), 1.0)
+
+
 def test_generator_relations_represented():
     # F01 * F10 - e^{2 pi i theta} F10 * F01 represents to zero
     for N, K in coprime_pairs(12):
@@ -201,6 +266,35 @@ def test_quantize_real_observable_hermitian():
         assert np.max(np.abs(Q - Q.conj().T)) < 1e-13
 
 
+@settings(max_examples=100)
+@given(nk=coprime_nk, terms=term_dicts)
+def test_quantize_real_observable_hermitian_property(nk, terms):
+    f = torus_observable(terms)
+    real = f + involution(f)
+    assert real.is_real()
+    Q = quantize_torus(real, *nk)
+    assert np.max(np.abs(Q - Q.conj().T)) < 1e-13 * max(l1(real), 1.0)
+    # and its symbol is a real-valued function
+    xs = np.linspace(0.0, 1.0, 7)
+    assert np.max(np.abs(np.imag(real(xs[:, None], xs[None, :])))) < 1e-13 * max(l1(real), 1.0)
+
+
+def test_is_real_means_fixed_by_involution():
+    assert not torus_observable({(1, 0): 1.0}).is_real()
+    assert torus_observable({(1, 0): 1.0, (-1, 0): 1.0}).is_real()
+    assert not torus_observable({(0, 0): 1j}).is_real()
+    # at theta != 0, F[1, 1] + F[1, 1]^* is self-adjoint but not F[1, 1] + F[-1, -1]
+    th = 0.25
+    a = rot_element(th, {(1, 1): 1.0})
+    assert (a + involution(a)).is_real(tol=1e-15)
+    assert not rot_element(th, {(1, 1): 1.0, (-1, -1): 1.0}).is_real(tol=1e-3)
+
+
+def test_quantize_rejects_deformed_elements():
+    with pytest.raises(ValueError, match="theta = 0"):
+        quantize_torus(rot_element(0.5, {(1, 0): 1.0}), 2, 1)
+
+
 # ------------------------------------------------------------- Dirac defect
 
 def test_dirac_defect_scalar_examples():
@@ -226,12 +320,19 @@ def test_dirac_defect_scaling_limit():
     assert abs(scalar * 64**3 - np.pi**3 / 3.0) / (np.pi**3 / 3.0) < 0.01
 
 
-def test_poisson_exponentials_convention():
+def test_poisson_torus_convention():
     # bracket carries 1/N and the mode indices add
-    br = poisson_exponentials(2, 0, 0, 3, 5)
+    br = poisson_torus(torus_observable({(2, 0): 1.0}), torus_observable({(0, 3): 1.0}), 5)
     assert set(br.terms) == {(2, 3)}
     assert_allclose(br.terms[(2, 3)], -(4 * np.pi**2 / 5) * 6)
+    assert br.theta == 0.0
     assert TORUS_HBAR == pytest.approx(1.0 / (2 * np.pi))
+
+
+@settings(max_examples=100)
+@given(terms=term_dicts, N=st.integers(1, 8))
+def test_poisson_torus_self_bracket_has_no_terms(terms, N):
+    assert poisson_torus(torus_observable(terms), torus_observable(terms), N).terms == {}
 
 
 # ------------------------------------------------------------------ actions
