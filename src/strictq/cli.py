@@ -123,6 +123,16 @@ def _config_dict(cfg: RunConfig, **extra) -> dict:
     return out
 
 
+def _exit_code(check: str, failed: list, warnings: list) -> int:
+    """0 if no report failed; else 1, with one stderr line naming the failed
+    reports and the report's warnings."""
+    if not failed:
+        return 0
+    why = "; ".join(warnings) if warnings else "none"
+    print(f"strictq {check}: failed {', '.join(failed)}; warnings: {why}", file=sys.stderr)
+    return 1
+
+
 def cmd_axioms(args) -> int:
     cfg = _runconfig(args)
     f_obs = parse_gaussian_spec(args.f_spec)
@@ -133,28 +143,28 @@ def cmd_axioms(args) -> int:
     reports = asymptotics.axiom_sweep(f, g, cfg.schedule())
 
     ids = {"dirac": 0, "vonneumann": 1, "norm_limit": 2, "norm_continuity": 3}
-    rows, notes, warnings = [], [], []
-    ok = True
+    rows, notes, warnings, failed = [], [], [], []
     for rep in reports:
         axiom_id = ids.get(rep.axiom, 4 if rep.detail == "product" else 5)
         for hbar, defect in zip(rep.hbars, rep.defects):
             rows.append([axiom_id, hbar, defect, rep.classical_ref])
         notes.extend(rep.notes)
         warnings.extend(rep.warnings)
-        if rep.axiom != "norm_continuity":
-            ok = ok and rep.passes()
+        if rep.axiom != "norm_continuity" and not rep.passes():
+            failed.append(AXIOM_LABELS[axiom_id])
     rows.sort(key=lambda r: (r[0], -r[1]))
+    warnings = sorted(set(warnings))
     write_report(
         "axioms",
         _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
                      axiom_labels=AXIOM_LABELS, notes=sorted(set(notes)),
-                     warnings=sorted(set(warnings))),
+                     warnings=warnings),
         ["axiom_id", "hbar", "defect", "classical_ref"],
         rows,
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("axioms", failed, warnings)
 
 
 def cmd_positivity(args) -> int:
@@ -377,20 +387,22 @@ def cmd_star(args) -> int:
         [hbar, dp, db]
         for hbar, dp, db in zip(prod_rep.hbars, prod_rep.defects, br_rep.defects)
     ]
-    ok = prod_rep.passes() and br_rep.passes()
+    failed = [label for label, rep in (("product", prod_rep), ("bracket", br_rep))
+              if not rep.passes()]
+    warnings = sorted(set(prod_rep.warnings))
     write_report(
         "star",
         _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
                      classical_refs={"product": prod_rep.classical_ref,
                                      "bracket": br_rep.classical_ref},
                      notes=sorted(set(prod_rep.notes)),
-                     warnings=sorted(set(prod_rep.warnings))),
+                     warnings=warnings),
         ["hbar", "product_defect", "bracket_defect"],
         rows,
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("star", failed, warnings)
 
 
 def _parse_floats(text: str) -> list:

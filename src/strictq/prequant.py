@@ -32,11 +32,30 @@ sections of growing y-frequency.  :func:`sin_cos_anomaly` exhibits the
 growth by applying R to probe sections oscillating in the conjugate
 variable (x-only probes are annihilated by R, so the x-pair is probed
 with ``e^{2 pi i a y}`` and the y-pair with ``e^{2 pi i a x}``).
+
+Evaluation.  A batch of S sections is held on one dense complex block
+``X[s, d, a - a0, b - b0]`` spanning the hull of the batch's support,
+so Q_N(f) of one mode is a few whole-block operations (a shift in d for
+y phi, the degree lowering d phi[d] for d_y, multiplication by a or b)
+written into the output at offset (m, k).  Memory scales with the
+hull, S * (degree + 1) * (a-span) * (b-span), not with the number of
+terms: a few sections far apart in a or b cost a large, mostly zero
+block.  The block reproduces the term-wise arithmetic of
+:class:`TrigSection` bit for bit, under two rules:
+
+* a product with a general complex coefficient is formed as
+  ``c.real * X + (1j * c.imag) * X``.  numpy's complex-by-complex
+  product rounds differently from CPython's ``c * x`` (it disagrees in
+  about half of random draws); with one real or purely imaginary factor
+  one of the partial products is an exact zero, and both agree.
+* sup norms use ``np.hypot(X.real, X.imag)``, which rounds as CPython's
+  ``abs`` of a complex number; ``np.abs`` does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,33 +85,13 @@ class DegreeCapError(ValueError):
     """Raised when an operation would exceed the configured y-degree cap."""
 
 
-def _d_x(terms: dict) -> dict:
-    return _clean({(a, b, d): 2j * np.pi * a * c for (a, b, d), c in terms.items()})
-
-
-def _d_y(terms: dict) -> dict:
-    out: dict = {}
-    for (a, b, d), c in terms.items():
-        if d > 0:
-            key = (a, b, d - 1)
-            out[key] = out.get(key, 0.0) + c * d
-        key = (a, b, d)
-        out[key] = out.get(key, 0.0) + 2j * np.pi * b * c
-    return _clean(out)
-
-
-def _mul_y(terms: dict, cap: int) -> dict:
-    degree = max((d for (_, _, d) in terms), default=0)
-    if degree + 1 > cap:
-        raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
-    return {(a, b, d + 1): c for (a, b, d), c in terms.items()}
-
-
 @dataclass(frozen=True)
 class TrigSection:
     """Finite sum of terms coeff * y^d * e^{2 pi i (a x + b y)}.
 
-    Keys of ``terms`` are integer triples (a, b, d) with d >= 0.
+    Keys of ``terms`` are integer triples (a, b, d) with d >= 0.  The
+    term-wise arithmetic below is the dict form of the operator that
+    :func:`prequant_apply` evaluates on arrays.
     """
 
     terms: dict = field(default_factory=dict)
@@ -119,13 +118,24 @@ class TrigSection:
 
     # term-wise calculus
     def d_x(self) -> "TrigSection":
-        return TrigSection(_d_x(self.terms))
+        return TrigSection(_clean({(a, b, d): 2j * np.pi * a * c
+                                   for (a, b, d), c in self.terms.items()}))
 
     def d_y(self) -> "TrigSection":
-        return TrigSection(_d_y(self.terms))
+        out: dict = {}
+        for (a, b, d), c in self.terms.items():
+            if d > 0:
+                key = (a, b, d - 1)
+                out[key] = out.get(key, 0.0) + c * d
+            key = (a, b, d)
+            out[key] = out.get(key, 0.0) + 2j * np.pi * b * c
+        return TrigSection(_clean(out))
 
     def mul_y(self, cap: int = DEGREE_CAP) -> "TrigSection":
-        return TrigSection(_mul_y(self.terms, cap))
+        degree = max((d for (_, _, d) in self.terms), default=0)
+        if degree + 1 > cap:
+            raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
+        return TrigSection({(a, b, d + 1): c for (a, b, d), c in self.terms.items()})
 
     def mul_exp(self, m: int, k: int) -> "TrigSection":
         return TrigSection({(a + m, b + k, d): c for (a, b, d), c in self.terms.items()})
@@ -153,6 +163,105 @@ def cos_y() -> RotAlgElement:
     return torus_observable({(0, 1): 0.5, (0, -1): 0.5})
 
 
+class _Block(NamedTuple):
+    """A batch of sections s as coefficients ``X[s, d, a - a0, b - b0]``.
+
+    ``degree`` is the y-degree checked against the cap: the highest key
+    degree of the packed sections (terms with a zero coefficient count,
+    as they do in the dict terms), or None when it is read from the
+    nonzero coefficients.
+    """
+
+    X: np.ndarray
+    a0: int
+    b0: int
+    degree: int | None = None
+
+
+def _pack(sections) -> _Block:
+    keys = [key for phi in sections for key in phi.terms]
+    a0 = min((a for a, _, _ in keys), default=0)
+    b0 = min((b for _, b, _ in keys), default=0)
+    shape = (len(sections),
+             max((d for _, _, d in keys), default=0) + 1,
+             max((a for a, _, _ in keys), default=a0) - a0 + 1,
+             max((b for _, b, _ in keys), default=b0) - b0 + 1)
+    X = np.zeros(shape, dtype=complex)
+    for s, phi in enumerate(sections):
+        for (a, b, d), c in phi.terms.items():
+            X[s, d, a - a0, b - b0] = c
+    return _Block(X, a0, b0, shape[1] - 1)
+
+
+def _section(block: _Block) -> TrigSection:
+    """The first section of the block, as its nonzero terms."""
+    X = block.X[0]
+    return TrigSection({(block.a0 + int(a), block.b0 + int(b), int(d)): complex(X[d, a, b])
+                        for d, a, b in zip(*np.nonzero(X))})
+
+
+def _sup(X: np.ndarray) -> np.ndarray:
+    # per-section largest |coefficient|; np.hypot rounds as CPython's abs
+    return np.hypot(X.real, X.imag).max(axis=(1, 2, 3))
+
+
+def _apply(f: RotAlgElement, phi: _Block, N: int, cap: int) -> _Block:
+    """Q_N(f) on every section of the block (see :func:`prequant_apply`)."""
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
+    X = phi.X
+    S, D, A, B = X.shape
+    if D > cap:  # only then can a degree + 1 exceed the cap
+        degree = phi.degree
+        if degree is None:
+            present = np.flatnonzero(np.any(X != 0, axis=(0, 2, 3)))
+            degree = int(present[-1]) if present.size else 0
+        if degree + 1 > cap:
+            raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
+    ms = [m for m, _ in f.terms]
+    ks = [k for _, k in f.terms]
+    m0, k0 = min(ms, default=0), min(ks, default=0)
+    if any(ks):  # multiplication by y raises the degree by one
+        X = np.zeros((S, D + 1, A, B), dtype=complex)
+        y_phi = np.zeros_like(X)
+        X[:, :D] = y_phi[:, 1:] = phi.X
+        D += 1
+        phi_x = (2j * np.pi * np.arange(phi.a0, phi.a0 + A))[:, None] * X
+    if any(ms):
+        phi_y = (2j * np.pi * np.arange(phi.b0, phi.b0 + B)) * X
+        phi_y[:, :-1] += np.arange(1, D)[:, None, None] * X[:, 1:]
+    out = np.zeros((S, D, A + max(ms, default=0) - m0, B + max(ks, default=0) - k0),
+                   dtype=complex)
+    for (m, k), c in f.terms.items():
+        # phi + (k/N) d_x phi - (k/N)(2 pi i N) y phi - (m/N) d_y phi, in that order
+        inner = X
+        if k != 0:
+            kn = k / N
+            ky = kn * (2j * np.pi * N)
+            inner = inner + kn * phi_x - ky * y_phi
+        if m != 0:
+            inner = inner - (m / N) * phi_y
+        c = complex(c)  # split so that each product rounds as CPython's c * x
+        out[:, :, m - m0:m - m0 + A, k - k0:k - k0 + B] += c.real * inner + (1j * c.imag) * inner
+    return _Block(out, phi.a0 + m0, phi.b0 + k0)
+
+
+def _aligned(*blocks: _Block) -> list:
+    """The blocks' coefficient arrays placed on their common hull."""
+    a0 = min(blk.a0 for blk in blocks)
+    b0 = min(blk.b0 for blk in blocks)
+    shape = (blocks[0].X.shape[0], max(blk.X.shape[1] for blk in blocks),
+             max(blk.a0 + blk.X.shape[2] for blk in blocks) - a0,
+             max(blk.b0 + blk.X.shape[3] for blk in blocks) - b0)
+    out = []
+    for blk in blocks:
+        _, D, A, B = blk.X.shape
+        Y = np.zeros(shape, dtype=complex)
+        Y[:, :D, blk.a0 - a0:blk.a0 - a0 + A, blk.b0 - b0:blk.b0 - b0 + B] = blk.X
+        out.append(Y)
+    return out
+
+
 def prequant_apply(f: RotAlgElement, phi: TrigSection, N: int,
                    cap: int = DEGREE_CAP) -> TrigSection:
     """Apply the prequantization operator of f to a section, exactly.
@@ -164,30 +273,7 @@ def prequant_apply(f: RotAlgElement, phi: TrigSection, N: int,
 
     extended linearly over the modes of f.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
-    phi_x = _d_x(phi.terms)
-    phi_y = _d_y(phi.terms)
-    y_phi = _mul_y(phi.terms, cap)
-    out: dict = {}
-    for (m, k), c in f.terms.items():
-        # per key: phi + (k/N) d_x phi - (k/N)(2 pi i N) y phi - (m/N) d_y phi
-        inner = dict(phi.terms)
-        if k != 0:
-            kn = k / N
-            ky = kn * (2j * np.pi * N)
-            for key, x in phi_x.items():
-                inner[key] = inner.get(key, 0.0) + kn * x
-            for key, x in y_phi.items():
-                inner[key] = inner.get(key, 0.0) - ky * x
-        if m != 0:
-            mn = m / N
-            for key, x in phi_y.items():
-                inner[key] = inner.get(key, 0.0) - mn * x
-        for (a, b, d), x in inner.items():
-            key = (a + m, b + k, d)
-            out[key] = out.get(key, 0.0) + c * x
-    return TrigSection(_clean(out))
+    return _section(_apply(f, _pack([phi]), N, cap))
 
 
 def dirac_identity_check(f: RotAlgElement, g: RotAlgElement, N: int,
@@ -199,16 +285,17 @@ def dirac_identity_check(f: RotAlgElement, g: RotAlgElement, N: int,
     clean pass sits at the rounding level regardless of mode frequencies.
     """
     bracket = poisson_torus(f, g, N)
-    max_resid = 0.0
-    for phi in test_sections:
-        lhs = (
-            prequant_apply(f, prequant_apply(g, phi, N, cap), N, cap)
-            - prequant_apply(g, prequant_apply(f, phi, N, cap), N, cap)
-        )
-        rhs = (1j * TORUS_HBAR) * prequant_apply(bracket, phi, N, cap)
-        scale = max(lhs.sup_coeff(), rhs.sup_coeff(), 1.0)
-        max_resid = max(max_resid, (lhs - rhs).sup_coeff() / scale)
-    return {"max_residual": max_resid}
+    sections = list(test_sections)
+    if not sections:
+        return {"max_residual": 0.0}
+    phi = _pack(sections)
+    fg, gf, br = _aligned(_apply(f, _apply(g, phi, N, cap), N, cap),
+                          _apply(g, _apply(f, phi, N, cap), N, cap),
+                          _apply(bracket, phi, N, cap))
+    lhs = fg - gf
+    rhs = (1j * TORUS_HBAR) * br
+    scale = np.maximum(np.maximum(_sup(lhs), _sup(rhs)), 1.0)
+    return {"max_residual": float(np.max(_sup(lhs - rhs) / scale))}
 
 
 def sin_cos_anomaly(N: int, probe_range: int, pair: str = "x",
@@ -229,16 +316,13 @@ def sin_cos_anomaly(N: int, probe_range: int, pair: str = "x",
         probe = lambda a: trig_section({(a, 0, 0): 1.0})
     else:
         raise ValueError(f"pair must be 'x' or 'y', got {pair!r}")
-    growth = []
-    for a in range(1, probe_range + 1):
-        phi = probe(a)
-        r = (
-            prequant_apply(s, prequant_apply(s, phi, N, cap), N, cap)
-            + prequant_apply(c, prequant_apply(c, phi, N, cap), N, cap)
-            - phi
-        )
-        growth.append(r.sup_coeff())
-    return {"growth": np.array(growth)}
+    probes = [probe(a) for a in range(1, probe_range + 1)]
+    if not probes:
+        return {"growth": np.array([])}
+    phi = _pack(probes)
+    ss, cc, one = _aligned(_apply(s, _apply(s, phi, N, cap), N, cap),
+                           _apply(c, _apply(c, phi, N, cap), N, cap), phi)
+    return {"growth": _sup(ss + cc - one)}
 
 
 def _moment(d: int, b: int) -> complex:

@@ -8,7 +8,9 @@ theta, multiplying by
 
 with involution ``F[m, k]^* = e^{2 pi i m k theta} F[-m, -k]`` and unit
 ``F[0, 0]``.  The generators ``u = F[1, 0]`` and ``v = F[0, 1]`` satisfy
-``v u = e^{2 pi i theta} u v``.
+``v u = e^{2 pi i theta} u v``.  The phases are evaluated from n theta
+reduced mod 1 exactly, so they carry an error of about eps whatever the
+size of n.
 
 For rational ``theta = K/N`` (reduced) the algebra has an N-dimensional
 irreducible representation by the clock matrix ``U`` (diagonal phases
@@ -117,6 +119,29 @@ class RotAlgElement:
                    for mk in self.terms.keys() | star.terms.keys())
 
 
+def _split(x: float) -> tuple:
+    # Veltkamp split: x = hi + lo exactly, halves short enough to multiply exactly
+    t = 134217729.0 * x  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _phase(n: int, theta: float) -> complex:
+    """e^{2 pi i n theta}, with n theta reduced mod 1 exactly before exp.
+
+    n theta is formed as the exact sum hi + lo (Dekker's two-product);
+    subtracting the integer nearest hi is exact, so the angle passed to
+    exp is below pi in size and carries an error of about eps, not
+    eps * 2 pi |n theta|.
+    """
+    x = float(n)
+    hi = x * theta
+    xh, xl = _split(x)
+    th, tl = _split(theta)
+    lo = ((xh * th - hi) + xh * tl + xl * th) + xl * tl
+    return np.exp(2j * np.pi * ((hi - round(hi)) + lo))
+
+
 def rot_element(theta: float, terms: dict) -> RotAlgElement:
     """Convenience constructor: {(m, k): coefficient} at the given theta."""
     return RotAlgElement(theta, {(int(m), int(k)): complex(c) for (m, k), c in terms.items()})
@@ -130,7 +155,7 @@ def convolve(a: RotAlgElement, b: RotAlgElement) -> RotAlgElement:
     th = a.theta
     for (m, k), c in a.terms.items():
         for (mp, kp), cp in b.terms.items():
-            phase = np.exp(2j * np.pi * mp * k * th)
+            phase = _phase(mp * k, th)
             key = (m + mp, k + kp)
             out[key] = out.get(key, 0.0) + c * cp * phase
     return RotAlgElement(th, _clean(out))
@@ -140,7 +165,7 @@ def involution(a: RotAlgElement) -> RotAlgElement:
     """Conjugate-linear extension of F[m,k]^* = e^{2 pi i m k theta} F[-m,-k]."""
     out: dict = {}
     for (m, k), c in a.terms.items():
-        out[(-m, -k)] = np.conj(c) * np.exp(2j * np.pi * m * k * a.theta)
+        out[(-m, -k)] = np.conj(c) * _phase(m * k, a.theta)
     return RotAlgElement(a.theta, _clean(out))
 
 

@@ -89,7 +89,7 @@ def test_axioms_single_row_tables(tmp_path):
     assert code in (0, 1)  # single coarse hbar need not meet the 5% gate
 
 
-def test_axioms_schedule_clipped_to_one_entry(tmp_path):
+def test_axioms_schedule_clipped_to_one_entry(tmp_path, capsys):
     # at n=64 the aliasing guard keeps only hbar=0.012 of the three entries
     out = tmp_path / "ax.json"
     code = run(["axioms", "--n", "64", "--hbar-start", "0.012", "--hbar-count", "3",
@@ -99,6 +99,13 @@ def test_axioms_schedule_clipped_to_one_entry(tmp_path):
     assert data["rows"]
     assert all(int(r[0]) != 3 for r in data["rows"])
     assert any("clipped from 3 to 1" in note for note in data["config"]["notes"])
+    # a failing exit names its failed reports and the report's warnings on stderr
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("strictq axioms: failed ") and err.count("\n") == 1
+        assert all(w in err for w in data["config"]["warnings"])
 
 
 def test_csv_mirrors_columns_rows(tmp_path):
@@ -201,9 +208,9 @@ def test_star_report(tmp_path):
     assert all(b < a for a, b in zip(brs, brs[1:]))
 
 
-def test_star_report_names_band_edge_warnings(tmp_path):
+def test_star_report_names_band_edge_warnings(tmp_path, capsys):
     # the final product defect fails the 5% gate; the dequantization
-    # warnings that explain it reach the report
+    # warnings that explain it reach the report and the stderr reason
     out = tmp_path / "st.json"
     code = run(["star", "--n", "256", "--out", str(out)])
     assert code == 1
@@ -211,9 +218,12 @@ def test_star_report_names_band_edge_warnings(tmp_path):
     last = data["rows"][-1]
     assert last[0] == 2.0 ** -6
     assert last[1] > 0.05 * data["config"]["classical_refs"]["product"]
-    assert data["config"]["warnings"] == [
+    warnings = [
         "symbol content at the resolved momentum band edge |p| = 1.0472 "
         "(first at hbar=0.015625)",
         "symbol content at the resolved momentum band edge |p| = 2.0944 "
         "(first at hbar=0.03125)",
     ]
+    assert data["config"]["warnings"] == warnings
+    err = capsys.readouterr().err
+    assert err == f"strictq star: failed product, bracket; warnings: {'; '.join(warnings)}\n"

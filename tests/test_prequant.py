@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strictq.prequant import (
@@ -19,7 +19,7 @@ from strictq.prequant import (
     sin_y,
     trig_section,
 )
-from strictq.rotation import torus_observable
+from strictq.rotation import TORUS_HBAR, torus_observable
 
 
 def random_observable(rng, span=2, terms=3):
@@ -57,11 +57,53 @@ def oracle_prequant_apply(f, phi, N, cap=DEGREE_CAP):
     return out
 
 
+def oracle_dirac_identity_check(f, g, N, test_sections, cap=DEGREE_CAP):
+    """The Dirac residual by TrigSection arithmetic, one section at a time."""
+    bracket = poisson_torus(f, g, N)
+    worst = 0.0
+    for phi in test_sections:
+        lhs = (oracle_prequant_apply(f, oracle_prequant_apply(g, phi, N, cap), N, cap)
+               - oracle_prequant_apply(g, oracle_prequant_apply(f, phi, N, cap), N, cap))
+        rhs = (1j * TORUS_HBAR) * oracle_prequant_apply(bracket, phi, N, cap)
+        scale = max(lhs.sup_coeff(), rhs.sup_coeff(), 1.0)
+        worst = max(worst, (lhs - rhs).sup_coeff() / scale)
+    return {"max_residual": worst}
+
+
+def oracle_sin_cos_anomaly(N, probe_range, pair):
+    s, c = (sin_x(), cos_x()) if pair == "x" else (sin_y(), cos_y())
+    growth = []
+    for a in range(1, probe_range + 1):
+        phi = trig_section({(0, a, 0) if pair == "x" else (a, 0, 0): 1.0})
+        r = (oracle_prequant_apply(s, oracle_prequant_apply(s, phi, N), N)
+             + oracle_prequant_apply(c, oracle_prequant_apply(c, phi, N), N) - phi)
+        growth.append(r.sup_coeff())
+    return np.array(growth)
+
+
+def outcome(fn, *args):
+    """The result's terms (or the value), or DegreeCapError if it was raised."""
+    try:
+        out = fn(*args)
+    except DegreeCapError:
+        return DegreeCapError
+    return getattr(out, "terms", out)
+
+
 coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 observables = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coefficients,
                               min_size=1, max_size=4).map(torus_observable)
 sections = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
                            coefficients, min_size=1, max_size=4).map(trig_section)
+
+
+# sections in boxes of half-width 2 around centres in [-20, 20]^2, degrees 0..4,
+# including empty sections and explicit zero coefficients
+boxed_sections = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).flatmap(
+    lambda c: st.dictionaries(
+        st.tuples(st.integers(c[0] - 2, c[0] + 2), st.integers(c[1] - 2, c[1] + 2),
+                  st.integers(0, 4)),
+        st.one_of(st.just(0j), coefficients), max_size=4)).map(trig_section)
 
 
 BASIS_SECTIONS = [trig_section({(a, b, d): 1.0})
@@ -140,12 +182,27 @@ def test_apply_matches_section_arithmetic_bit_for_bit(f, g, phi, N):
             == oracle_prequant_apply(f, inner, N, cap=12).terms)
 
 
-@settings(max_examples=100)
-@given(f=observables, g=observables, phis=st.lists(sections, min_size=1, max_size=3),
+@settings(max_examples=150)
+@given(f=observables, g=observables, phis=st.lists(boxed_sections, max_size=4),
        N=st.integers(1, 8))
+@example(f=torus_observable({(1, 0): 1.0}), g=torus_observable({(0, 1): 1.0}), phis=[], N=2)
+@example(f=torus_observable({(1, 0): 1.0}), g=torus_observable({(0, 1): 1.0}),
+         phis=[trig_section({}), trig_section({(1, 1, 2): 0.0})], N=3)
+@example(f=torus_observable({(1, 2): 1.0 - 2.0j, (-1, 0): 0.5j}),
+         g=torus_observable({(1, 2): 1.0 - 2.0j, (-1, 0): 0.5j}),
+         phis=BASIS_SECTIONS, N=5)  # f = g: the bracket has no terms
+@example(f=torus_observable({(1, 0): 1.0, (-2, 0): 0.5j}),
+         g=torus_observable({(3, 0): 2.0 - 1.0j}), phis=BASIS_SECTIONS, N=4)  # commuting
+@example(f=torus_observable({(2, -1): 1.0 + 0.5j, (0, 3): -0.25}),
+         g=torus_observable({(-3, 3): 1.0, (1, 0): 2.0j}),
+         phis=[trig_section({(-60, 1, 0): 1.0, (60, -2, 3): 0.5 - 1.0j}),
+               trig_section({(60, 0, 1): 2.0j})], N=7)  # wide support
 def test_dirac_identity_random_polynomials(f, g, phis, N):
-    # [Q(f), Q(g)] = i hbar Q({f, g}) holds term by term, so only rounding remains
-    assert dirac_identity_check(f, g, N, phis, cap=12)["max_residual"] <= 1e-10
+    # [Q(f), Q(g)] = i hbar Q({f, g}) holds term by term, so only rounding remains,
+    # and the batched block check gives the per-section residual exactly
+    got = dirac_identity_check(f, g, N, phis, cap=12)["max_residual"]
+    assert got <= 1e-10
+    assert got == oracle_dirac_identity_check(f, g, N, phis, cap=12)["max_residual"]
 
 
 def test_degree_cap():
@@ -153,6 +210,33 @@ def test_degree_cap():
     f = torus_observable({(0, 1): 1.0})  # y-derivative term multiplies by y
     with pytest.raises(DegreeCapError):
         prequant_apply(f, phi, 1, cap=3)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5, 8])
+def test_degree_cap_raised_where_section_arithmetic_raises(cap):
+    obs = [torus_observable({(0, 1): 1.0}), torus_observable({(1, 0): 1.0}),
+           torus_observable({(2, -1): 0.5j, (-1, 0): 1.0})]
+    for degree in (cap - 2, cap - 1, cap):
+        # the explicit zero term counts towards the degree, as a dict key does
+        for phi in (trig_section({(1, -1, degree): 1.0, (0, 2, 0): 0.5}),
+                    trig_section({(0, 0, degree): 0.0, (2, 1, 0): 1.0j})):
+            sections = [trig_section({(0, 0, 0): 1.0}), phi]
+            for f in obs:
+                assert (outcome(prequant_apply, f, phi, 2, cap)
+                        == outcome(oracle_prequant_apply, f, phi, 2, cap))
+                for g in obs:
+                    assert (outcome(dirac_identity_check, f, g, 2, sections, cap)
+                            == outcome(oracle_dirac_identity_check, f, g, 2, sections, cap))
+
+
+def test_nonpositive_N_rejected():
+    f = torus_observable({(1, 0): 1.0})
+    phi = trig_section({(0, 0, 0): 1.0})
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N >= 1"):
+            prequant_apply(f, phi, N)
+    with pytest.raises(ValueError, match="N >= 1"):
+        dirac_identity_check(f, f, -1, [phi])
 
 
 # ------------------------------------------------------------ torus bracket
@@ -241,6 +325,13 @@ def test_anomaly_growth_x_pair():
 def test_anomaly_growth_y_pair():
     out = sin_cos_anomaly(1, 8, "y")["growth"]
     assert np.all(np.diff(out) > 0)
+
+
+@pytest.mark.parametrize("N, probe_range", [(1, 8), (3, 5), (2, 0)])
+def test_anomaly_matches_section_arithmetic_bit_for_bit(N, probe_range):
+    for pair in ("x", "y"):
+        out = sin_cos_anomaly(N, probe_range, pair)["growth"]
+        assert np.array_equal(out, oracle_sin_cos_anomaly(N, probe_range, pair))
 
 
 def test_anomaly_constants_are_flat():
