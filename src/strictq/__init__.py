@@ -45,4 +45,8 @@ CONVENTIONS = {
     # q - hbar v/2) against the fiber transform, absorbing the 1/hbar
     # prefactor of the quantization map; the raw sequence is also reported.
     "tangent_boundary_factor": "hbar",
+    # The interpolant that reads kernels off grid (dequantize, boundary check)
+    # takes an even-n Nyquist row or column at w = -n/2 and +n/2, half each,
+    # as core.trig_shift does; the corner takes four readings of 1/4.
+    "even_n_nyquist": "cosine split on both axes",
 }

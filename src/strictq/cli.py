@@ -123,13 +123,13 @@ def _config_dict(cfg: RunConfig, **extra) -> dict:
     return out
 
 
-def _exit_code(check: str, failed: list, warnings: list) -> int:
-    """0 if no report failed; else 1, with one stderr line naming the failed
-    reports and the report's warnings."""
+def _exit_code(check: str, failed: list, warnings: list | None = None) -> int:
+    """0 if no check failed; else 1, with one stderr line naming the failed
+    checks and, where the report has them, the report's warnings."""
     if not failed:
         return 0
-    why = "; ".join(warnings) if warnings else "none"
-    print(f"strictq {check}: failed {', '.join(failed)}; warnings: {why}", file=sys.stderr)
+    why = "" if warnings is None else f"; warnings: {'; '.join(warnings) or 'none'}"
+    print(f"strictq {check}: failed {', '.join(failed)}{why}", file=sys.stderr)
     return 1
 
 
@@ -179,12 +179,13 @@ def cmd_positivity(args) -> int:
         side = [float(np.sqrt(r) * hbar / 2.0) for r in ratios]
         cells = [(a, a) for a in side]
     qgrid = Grid1D(-cfg.box, cfg.box, cfg.n)
-    rows, ok = [], True
+    rows, failed = [], []
     for a, b in cells:
         verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
         rows.append([a, b, hbar, verdict["min_eigenvalue"], float(verdict["positive"])])
         expected = a * b >= (hbar / 2.0) ** 2 * (1.0 - 1e-12)
-        ok = ok and (bool(verdict["positive"]) == expected)
+        if bool(verdict["positive"]) != expected:
+            failed.append(f"threshold at alpha={a:g}, beta={b:g}")
     write_report(
         "positivity",
         _config_dict(cfg, hbar=hbar,
@@ -194,7 +195,7 @@ def cmd_positivity(args) -> int:
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("positivity", failed)
 
 
 def cmd_torus(args) -> int:
@@ -227,18 +228,19 @@ def cmd_torus(args) -> int:
         scaled = abs(defect["scalar"]) * N**3
         rows.append([N, K, abs(defect["scalar"]), scaled, direct_err, homo, star, comm,
                      center_err])
-    ok = all(r[4] <= 1e-12 and r[5] <= 1e-12 and r[6] <= 1e-12 and r[7] <= 1e-12
-             and r[8] <= 1e-13 for r in rows)
+    columns = ["N", "K", "defect_abs", "defect_times_N3", "direct_vs_closed",
+               "homomorphism_err", "involution_err", "commutation_err", "center_err"]
+    gates = {4: 1e-12, 5: 1e-12, 6: 1e-12, 7: 1e-12, 8: 1e-13}
+    failed = [columns[c] for c, tol in gates.items() if not all(r[c] <= tol for r in rows)]
     write_report(
         "torus",
         _config_dict(cfg, m=m, k=k, K=K, n_values=list(map(int, n_values))),
-        ["N", "K", "defect_abs", "defect_times_N3", "direct_vs_closed",
-         "homomorphism_err", "involution_err", "commutation_err", "center_err"],
+        columns,
         rows,
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("torus", failed)
 
 
 def _random_element(rng, theta):
@@ -332,7 +334,7 @@ def cmd_landsman(args) -> int:
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("landsman", [] if ok else [f"{name} {columns[1]}"])
 
 
 def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
@@ -349,30 +351,31 @@ def cmd_groupoid(args) -> int:
     f = sample(gaussian_field(obs), grid)
     schedule = cfg.schedule()
     rows = []
-    ok = True
+    wm_ok = True
     seen: dict = {}
     for hbar in schedule.values:
         res = groupoid_mod.wm_correspondence(f, hbar)
         rows.append([hbar, res["defect"], res["weyl_norm"]])
-        ok = ok and res["defect"] <= 1e-5 * max(res["weyl_norm"], 1.0)
+        wm_ok = wm_ok and res["defect"] <= 1e-5 * max(res["weyl_norm"], 1.0)
         for message in res["warnings"]:
             seen.setdefault(message, hbar)
     family = groupoid_mod.canonical_family(f, schedule.values)
     boundary = groupoid_mod.tangent_boundary_check(family)
     for hbar, defect, raw in zip(boundary.hbars, boundary.defects, boundary.raw):
         rows.append([hbar, defect, raw])
-        ok = ok and defect <= 1e-6
+    sections = ["wm_correspondence", "tangent_boundary"]
+    failed = [s for s, ok in zip(sections, (wm_ok, all(boundary.defects <= 1e-6))) if not ok]
+    warnings = sorted(set(tagged_warnings(seen)) | set(boundary.warnings))
     write_report(
         "groupoid",
-        _config_dict(cfg, sections=["wm_correspondence", "tangent_boundary"],
-                     boundary_notes=list(boundary.notes),
-                     warnings=sorted(set(tagged_warnings(seen)) | set(boundary.warnings))),
+        _config_dict(cfg, sections=sections, boundary_notes=list(boundary.notes),
+                     warnings=warnings),
         ["hbar", "defect", "scale_or_raw"],
         rows,
         cfg.out,
         cfg.format,
     )
-    return 0 if ok else 1
+    return _exit_code("groupoid", failed, warnings)
 
 
 def cmd_star(args) -> int:

@@ -27,12 +27,16 @@ condition does not, so the check multiplies by hbar (making the
 canonical family pass identically) and reports the raw unmultiplied
 sequence alongside.
 
-Per hbar the shifted diagonals for the whole fiber window come from one
-Fourier pass: a 2-D FFT of the kernel, whose coefficients are regrouped
-by diagonal frequency (the sum of the two wavenumbers) and separation
-frequency (their difference); one chirp-z transform (Bluestein) from the
-separation frequencies onto the uniform run of shifts ``hbar v/2``; and
-one inverse FFT along the diagonal, O(n^2 log n) per hbar in all.
+Per hbar the shifted diagonals for the whole fiber window are read from
+the one midpoint/separation chart of a kernel, which dequantization
+reads too (``weyl._shifted_diagonals``): a 2-D FFT of the kernel, whose
+coefficients are regrouped by diagonal frequency (the sum of the two
+wavenumbers) and separation frequency (their difference); one inverse
+FFT along the diagonal; and, per block of rows, one chirp-z transform
+(Bluestein) from the separation frequencies onto the uniform run of
+shifts ``hbar v/2``, O(n^2 log n) per hbar in all.  For even n the
+Nyquist modes are split by cosine on both axes
+(``CONVENTIONS["even_n_nyquist"]``).
 
 Off-grid evaluation is everywhere the band-limited interpolant, so the
 grids must contain the supports: convolution shifts must stay inside
@@ -45,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft2, ifft
 
 from .core import (
     DECAY_TOL,
@@ -59,7 +62,7 @@ from .core import (
     tagged_warnings,
     trig_shift,
 )
-from .weyl import OperatorKernel, _chirp_z, op_norm, weyl_kernel
+from .weyl import OperatorKernel, _shifted_diagonals, op_norm, weyl_kernel
 
 __all__ = [
     "GroupoidFunction",
@@ -281,74 +284,14 @@ class BoundaryReport:
     warnings: tuple = ()
 
 
-def _sum_difference_index(n: int) -> np.ndarray:
-    """Where each 2-D Fourier coefficient lands in the (J, m) coefficient table.
-
-    The coefficient at FFT indices (j1, j2), with integer wavenumbers
-    (w1, w2), belongs to the diagonal frequency ``J = (j1 + j2) mod n``
-    and the separation frequency ``m = w1 - w2`` in [-n, n], the table
-    cell ``J (2n + 1) + m + n``.  For even n the Nyquist column is read
-    at both ``w2 = -n/2`` and ``w2 = +n/2`` (the cosine split of
-    :func:`trig_shift`): its second reading follows the n^2 entries.  The
-    index addresses the real and imaginary parts, interleaved as in the
-    float view of a complex array, so one ``bincount`` fills the table.
-    """
-    j = np.arange(n)
-    w = j - n * (j >= (n + 1) // 2)
-    cell = ((j[:, None] + j[None, :]) % n) * (2 * n + 1) + (w[:, None] - w[None, :] + n)
-    if n % 2 == 0:
-        cell = np.concatenate([cell.ravel(), cell[:, n // 2] - n])
-    cell = cell.ravel()
-    return np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
-
-
-def _coefficient_table(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``C[J, m]``: the 2-D Fourier coefficients of the matrix summed by (J, m).
-
-    A function of its own so that the spectrum is freed before the
-    chirp-z transform allocates its blocks.
-    """
-    n = matrix.shape[0]
-    spec = fft2(matrix, norm="forward")
-    if n % 2 == 0:
-        spec[:, n // 2] *= 0.5
-        spec = np.concatenate([spec.ravel(), spec[:, n // 2]])
-    table = np.bincount(index, spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
-    return table.view(complex).reshape(n, 2 * n + 1)
-
-
-def _shifted_diagonals(matrix: np.ndarray, index: np.ndarray, dq: float,
-                       s0: float, ds: float, t: np.ndarray) -> np.ndarray:
-    """Diagonals of the interpolant of ``matrix`` shifted by (+s, -s), s = s0 + t ds.
-
-    Returns ``D[i, b] = K(q_i + s_b, q_i - s_b)`` for the run of integers
-    ``t``, with ``K`` the periodic trigonometric interpolant of the
-    matrix: a plain exponential shift along the rows and a
-    Nyquist-symmetrized one along the columns, as :func:`trig_shift`
-    applies them.  With ``Kh = fft2(K)/n^2``,
-
-        D(q_i, s) = sum_J e^{2 pi i J i/n} sum_m C[J, m] e^{2 pi i m s/(n dq)},
-        C[J, m]   = sum_{j1 + j2 = J mod n, w1 - w2 = m} Kh[j1, j2],
-
-    so the sum over m is one chirp-z transform onto the run of s and the
-    sum over J is one inverse FFT.
-    """
-    n = matrix.shape[0]
-    kappa = 2.0 * np.pi / (n * dq)
-    m = np.arange(-n, n + 1)
-    out = np.empty((n, t.size), dtype=complex)
-    _chirp_z(_coefficient_table(matrix, index), kappa * ds, m, t,
-             np.exp(1j * kappa * s0 * m), 1.0, out)
-    return ifft(out, axis=0, norm="forward", overwrite_x=True)
-
-
 def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     """Sup distance of ``hbar K(q + hbar v/2, q - hbar v/2)`` from the limit symbol.
 
     The kernel is evaluated off grid by its trigonometric interpolant,
     which wraps periodically; all fiber values of one hbar are read from
-    one 2-D FFT of the kernel, one chirp-z transform across the fiber
-    window and one inverse FFT (see :func:`_shifted_diagonals`).  Fiber
+    one 2-D FFT of the kernel, one inverse FFT along the diagonal and a
+    chirp-z transform across the fiber window per block of rows (see
+    :func:`strictq.weyl._shifted_diagonals`).  Fiber
     values whose shift ``|hbar v/2|`` exceeds a quarter of the box would
     wrap around it and are clipped out of the comparison window, which is
     reported per hbar.  The warnings of the kernels and of the limit
@@ -361,7 +304,6 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     qaxis, vaxis = symbol.grid.qaxis, symbol.grid.paxis
     v = vaxis.points
     quarter = 0.25 * (qaxis.hi - qaxis.lo)
-    index = _sum_difference_index(qaxis.n)
     defects, raws, windows = [], [], []
     notes = []
     seen: dict = {}
@@ -379,8 +321,8 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
         # fiber values v_c + t dv, with integer t centred on the window
         cols = np.flatnonzero(ok)
         c = (cols[0] + cols[-1]) // 2
-        diag = _shifted_diagonals(kernel.matrix, index, qaxis.delta, hbar * v[c] / 2.0,
-                                  hbar * vaxis.delta / 2.0, cols - c)
+        diag = np.vstack([block for _, block in _shifted_diagonals(
+            kernel.matrix, qaxis.delta, hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c)])
         gap = np.abs(hbar * diag - symbol.values[:, ok])
         defects.append(float(np.max(gap)))
         raws.append(float(np.max(np.abs(diag - symbol.values[:, ok]))))

@@ -28,12 +28,15 @@ Dequantization inverts the kernel map,
 
     f(q, p) = hbar \\int dv e^{-i p v} K(q + hbar v/2, q - hbar v/2),
 
-reading the kernel along anti-diagonals; the midpoints that fall between
-grid anti-diagonals are recovered by trigonometric interpolation
-(quarter-cell FFT shifts of the whole matrix).  The momentum band
-resolved by the inverse transform is ``|p| <= pi hbar / dq``; values
-beyond it are zeroed with the same band-edge check, and a target grid
-with no momentum inside the band raises :class:`AliasingError`.
+reading the kernel along anti-diagonals at quarter-cell shifts from the
+midpoint/separation chart :func:`_shifted_diagonals`, which the
+tangent-boundary check of :mod:`strictq.groupoid` reads too; between
+grid points the kernel is its trigonometric interpolant, with even-n
+Nyquist modes split on both axes (``CONVENTIONS["even_n_nyquist"]``).
+The momentum band resolved by the inverse transform is
+``|p| <= pi hbar / dq``; values beyond it are zeroed with the same
+band-edge check, and a target grid with no momentum inside the band
+raises :class:`AliasingError`.
 
 Both maps are discrete Fourier sums between two uniform grids (momentum
 and separation), which :func:`_chirp_z` evaluates as Bluestein chirp-z
@@ -66,7 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import fft, fft2, ifft, next_fast_len
 from scipy.linalg import svdvals
 
 from .core import (
@@ -76,7 +79,6 @@ from .core import (
     GridError,
     SampledFunction,
     boundary_decay,
-    trig_shift,
 )
 
 __all__ = [
@@ -103,7 +105,7 @@ MAX_DENSE_N = 2048
 BAND_EDGE_TOL = 1e-8
 
 # rows per chirp-z block: bounds the padded spectra held at once
-_CZT_BLOCK = 128
+_CZT_BLOCK = 64
 
 
 class AliasingError(ValueError):
@@ -318,35 +320,77 @@ def adjoint(kernel: OperatorKernel) -> OperatorKernel:
     return replace(kernel, matrix=kernel.matrix.conj().T)
 
 
-def _antidiagonal_table(kernel: OperatorKernel) -> np.ndarray:
-    """Kernel in midpoint/separation coordinates, A[i, u] = K(q_i + u dq/4, q_i - u dq/4).
+def _sum_difference_index(n: int) -> np.ndarray:
+    """Where each 2-D Fourier coefficient lands in the (J, m) coefficient table.
 
-    Row i is the anti-diagonal through the grid point q_i, sampled at
-    separations ``u dq/2`` for u = -2(n-1)..2(n-1).  The kernel's
-    interpolant has separation bandwidth up to pi/dq (the sum of two
-    position bandwidths over two), so the separation grid is refined to
-    dq/2: off-lattice values come from quarter-cell FFT shifts of the
-    whole matrix.  Without the refinement, multiplying by the transform
-    phase would alias for kernels with band-edge content (e.g. the
-    discrete identity).  Entries whose anti-diagonal leaves the matrix
-    are zero.
+    The coefficient at FFT indices (j1, j2), with integer wavenumbers
+    (w1, w2), belongs to the diagonal frequency ``J = (j1 + j2) mod n``
+    and the separation frequency ``m = w1 - w2`` in [-n, n], the table
+    cell ``J (2n + 1) + m + n``.  For even n the Nyquist row and column
+    are read at ``w = -n/2`` and again at ``w = +n/2``: after the n^2
+    entries come the second readings of the column, the row and the
+    corner.  The index addresses the real and imaginary parts,
+    interleaved as in the float view of a complex array, so one
+    ``bincount`` fills the table.
     """
-    n = kernel.grid.n
-    dq = kernel.grid.delta
-    shifted = {0: kernel.matrix}
-    for c in (1, 2, 3):
-        s = c * dq / 4.0
-        shifted[c] = trig_shift(trig_shift(kernel.matrix, 0, +s, dq), 1, -s, dq)
-    m = 2 * (n - 1)
-    a = np.zeros((n, 2 * m + 1), dtype=complex)
-    i = np.arange(n)
-    for u in range(-m, m + 1):
-        c = u % 4
-        w = (u - c) // 4
-        rows, cols = i + w, i - w
-        ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-        a[i[ok], u + m] = shifted[c][rows[ok], cols[ok]]
-    return a
+    j = np.arange(n)
+    w = j - n * (j >= (n + 1) // 2)
+    cell = ((j[:, None] + j[None, :]) % n) * (2 * n + 1) + (w[:, None] - w[None, :] + n)
+    if n % 2 == 0:
+        h = n // 2
+        cell = np.concatenate([cell.ravel(), cell[:, h] - n, cell[h] + n, cell[h, h:h + 1]])
+    cell = cell.ravel()
+    return np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
+
+
+def _coefficient_table(matrix: np.ndarray) -> np.ndarray:
+    """``E[i, m] = sum_J e^{2 pi i J i/n} C[J, m]``, C the 2-D Fourier
+    coefficients of the matrix summed by (J, m), even-n Nyquist readings
+    at half weight each (:func:`_sum_difference_index`).
+
+    A function of its own so that the spectrum is freed before the
+    chirp-z transforms allocate their blocks.
+    """
+    n = matrix.shape[0]
+    spec = fft2(matrix, norm="forward")
+    if n % 2 == 0:
+        h = n // 2
+        spec[:, h] *= 0.5
+        spec[h] *= 0.5
+        spec = np.concatenate([spec.ravel(), spec[:, h], spec[h], spec[h, h:h + 1]])
+    table = np.bincount(_sum_difference_index(n), spec.ravel().view(np.float64),
+                        2 * n * (2 * n + 1))
+    return ifft(table.view(complex).reshape(n, 2 * n + 1), axis=0, norm="forward",
+                overwrite_x=True)
+
+
+def _shifted_diagonals(matrix: np.ndarray, dq: float, s0: float, ds: float,
+                       t: np.ndarray):
+    """Diagonals of the interpolant of ``matrix`` shifted by (+s, -s), s = s0 + t ds.
+
+    The midpoint/separation chart of a kernel: yields ``(rows, D[rows])``
+    per block of ``_CZT_BLOCK`` grid points, ``D[i, b] = K(q_i + s_b,
+    q_i - s_b)`` for the run of integers ``t``, with ``K`` the periodic
+    trigonometric interpolant of the matrix
+    (``CONVENTIONS["even_n_nyquist"]``).  With ``Kh = fft2(K)/n^2``,
+
+        D(q_i, s) = sum_m E[i, m] e^{2 pi i m s/(n dq)},
+        E[i, m]   = sum_J e^{2 pi i J i/n} C[J, m],
+        C[J, m]   = sum_{j1 + j2 = J mod n, w1 - w2 = m} Kh[j1, j2],
+
+    so the sum over J is one inverse FFT and the sum over m one chirp-z
+    transform per block onto the run of s.
+    """
+    n = matrix.shape[0]
+    kappa = 2.0 * np.pi / (n * dq)
+    m = np.arange(-n, n + 1)
+    pre = np.exp(1j * kappa * s0 * m)
+    table = _coefficient_table(matrix)
+    for r in range(0, n, _CZT_BLOCK):
+        rows = slice(r, r + _CZT_BLOCK)
+        out = np.empty((table[rows].shape[0], t.size), dtype=complex)
+        _chirp_z(table[rows], kappa * ds, m, t, pre, 1.0, out)
+        yield rows, out
 
 
 def dequantize(kernel: OperatorKernel, pgrid: Grid2D | None = None) -> SampledFunction:
@@ -376,31 +420,12 @@ def dequantize(kernel: OperatorKernel, pgrid: Grid2D | None = None) -> SampledFu
             f"at hbar={hbar:g}; the smallest usable hbar for this grid is {hbar_min:g}",
             hbar_min=hbar_min,
         )
-    a = _antidiagonal_table(kernel)
+
+    # the chart at shifts u dq/4 gives separations u dq/2, u = -2(n-1)..2(n-1):
+    # the interpolant's separation bandwidth reaches pi/dq, so without the
+    # refinement the transform phase would alias for kernels with band-edge
+    # content (e.g. the discrete identity); momenta p_c = p_r + c dp'
     m = 2 * (n - 1)
-
-    # truncation residual: interior anti-diagonals must decay in separation
-    # before leaving the matrix (rows near the box edge truncate early by
-    # construction and carry no weight for decaying symbols)
-    # the probe uses raw matrix samples (u = +-4 mu, no interpolation), so a
-    # band-edge kernel like the discrete identity does not false-trigger
-    scale = np.max(np.abs(a))
-    if scale > 0.0:
-        rows = np.arange(n)
-        mu = np.minimum(rows, n - 1 - rows)
-        interior = mu >= n // 4
-        ridx = rows[interior]
-        edge = max(
-            np.abs(a[ridx, m - 4 * mu[interior]]).max(),
-            np.abs(a[ridx, m + 4 * mu[interior]]).max(),
-        )
-        if edge > 1e-5 * scale:
-            raise AccuracyError(
-                f"kernel anti-diagonals truncated at relative magnitude {edge / scale:.2e}; "
-                "enlarge the position box"
-            )
-
-    # p_c = p_r + c dp' and separations s dq/2 with integer c, s centred
     sep = np.arange(-m, m + 1)
     cols = np.flatnonzero(inside)
     r = (cols[0] + cols[-1]) // 2
@@ -409,7 +434,32 @@ def dequantize(kernel: OperatorKernel, pgrid: Grid2D | None = None) -> SampledFu
     pre = np.exp(-1j * p[r] * dq / (2.0 * hbar) * sep)
     values = np.zeros((n, pgrid.paxis.n), dtype=complex)
     block = values[:, cols[0]:cols[-1] + 1]
-    _chirp_z(a, -dq * dp / (2.0 * hbar), sep, c, pre, dq / 2.0, block)
+    # entries whose anti-diagonal leaves the matrix (|u| beyond ~4 mu_i) are zero
+    mu = np.minimum(np.arange(n), n - 1 - np.arange(n))
+    scale = 0.0
+    for rows, a in _shifted_diagonals(kernel.matrix, dq, 0.0, dq / 4.0, sep):
+        reach = 4 * mu[rows, None]
+        a[(sep < -reach) | (sep > reach + 3)] = 0.0
+        scale = max(scale, np.max(np.abs(a)))
+        _chirp_z(a, -dq * dp / (2.0 * hbar), sep, c, pre, dq / 2.0, block[rows])
+
+    # truncation residual: interior anti-diagonals must decay in separation
+    # before leaving the matrix (rows near the box edge truncate early by
+    # construction and carry no weight for decaying symbols)
+    # the probe uses raw matrix samples (u = +-4 mu, no interpolation), so a
+    # band-edge kernel like the discrete identity does not false-trigger
+    if scale > 0.0:
+        interior = mu >= n // 4
+        i, w = np.arange(n)[interior], mu[interior]
+        edge = max(
+            np.abs(kernel.matrix[i - w, i + w]).max(),
+            np.abs(kernel.matrix[i + w, i - w]).max(),
+        )
+        if edge > 1e-5 * scale:
+            raise AccuracyError(
+                f"kernel anti-diagonals truncated at relative magnitude {edge / scale:.2e}; "
+                "enlarge the position box"
+            )
 
     warnings = list(kernel.warnings)
     if not inside.all():

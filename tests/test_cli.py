@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import strictq.cli
 from strictq.cli import main, parse_gaussian_spec
 
 
@@ -48,10 +49,11 @@ def test_non_coprime_torus_rejected(tmp_path):
 
 # ------------------------------------------------------------------ reports
 
-def test_positivity_report_and_schema(tmp_path):
+def test_positivity_report_and_schema(tmp_path, capsys):
     out = tmp_path / "pos.json"
     code = run(["positivity", "--n", "256", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == ""
     data = read_json(out)
     assert set(data) == {"check", "config", "columns", "rows"}
     assert data["columns"] == ["alpha", "beta", "hbar", "min_eig", "positive"]
@@ -59,7 +61,20 @@ def test_positivity_report_and_schema(tmp_path):
     # default ratio scan flips from negative to positive at the threshold
     assert verdicts == [False, False, False, True, True, True]
     assert data["config"]["conventions"]["gaussian_prefactor_exponent"] == 0.5
+    assert data["config"]["conventions"]["even_n_nyquist"] == "cosine split on both axes"
     assert "version" in data["config"]
+
+
+def test_positivity_failure_names_cells(tmp_path, capsys, monkeypatch):
+    # a verdict that disagrees with the threshold fails its cell, and the
+    # stderr reason names that cell (the report has no warnings to name)
+    monkeypatch.setattr(strictq.cli, "positivity_verdict",
+                        lambda obs, hbar, grid: {"min_eigenvalue": 0.0, "positive": True})
+    code = run(["positivity", "--n", "64", "--ratios", "0.5,2.0",
+                "--out", str(tmp_path / "pos.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "strictq positivity: failed threshold at alpha=0.353553, beta=0.353553\n")
 
 
 def test_positivity_empty_range(tmp_path):
@@ -130,12 +145,25 @@ def test_reports_bit_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_torus_defect_decay_table(tmp_path):
+def test_torus_defect_decay_table(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert run(["torus", "--n-range", "2:17", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     data = read_json(out)
     defects = [row[2] for row in data["rows"]]
     assert all(d2 < d1 for d1, d2 in zip(defects, defects[1:]))
+
+
+def test_torus_failure_names_columns(tmp_path, capsys, monkeypatch):
+    # a rescaled representation is no homomorphism and maps the central
+    # element off the unit circle: the stderr reason names both columns
+    represent = strictq.cli.rotation.represent
+    monkeypatch.setattr(strictq.cli.rotation, "represent",
+                        lambda a, rep: 1.001 * represent(a, rep))
+    code = run(["torus", "--n-range", "2:4", "--out", str(tmp_path / "t.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "strictq torus: failed homomorphism_err, center_err\n")
 
 
 def test_torus_trivial_row(tmp_path):
@@ -152,6 +180,16 @@ def test_landsman_flat_report(tmp_path):
     assert code == 0
     for row in read_json(out)["rows"]:
         assert row[1] <= 1e-5 * max(row[2], 1.0)
+
+
+def test_landsman_exp2q_failure_reason(tmp_path, capsys):
+    # on 24 points the exp2q Dirac defects grow along the schedule; the
+    # stderr reason names the check (the report has no warnings to name)
+    out = tmp_path / "lm.json"
+    assert run(["landsman", "--metric", "exp2q", "--n", "24", "--out", str(out)]) == 1
+    defects = [row[1] for row in read_json(out)["rows"]]
+    assert defects[1] > defects[0]
+    assert capsys.readouterr().err == "strictq landsman: failed exp2q dirac_defect\n"
 
 
 def test_landsman_exp2q_decreasing(tmp_path):
@@ -175,26 +213,32 @@ def test_landsman_schedule_options(tmp_path):
         assert np.allclose(hbars[1:] / hbars[:-1], 0.7, rtol=1e-14, atol=0.0)
 
 
-def test_groupoid_report(tmp_path):
+def test_groupoid_report(tmp_path, capsys):
     out = tmp_path / "gp.json"
     code = run(["groupoid", "--n", "192", "--hbar-count", "2", "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == ""
     data = read_json(out)
     assert len(data["rows"]) == 4  # correspondence + boundary, two hbars each
     assert data["config"]["warnings"] == []
 
 
-def test_groupoid_report_names_decay_warnings(tmp_path):
-    # on a box of +-4 the observable has not decayed at the p-boundary: the
-    # boundary defects fail the 1e-6 gate and the warnings that explain it,
-    # from the Weyl kernels and from the limit symbol, reach the report
+def test_groupoid_report_names_decay_warnings(tmp_path, capsys):
+    # on a box of +-4 the observable has not decayed at the p-boundary: both
+    # sections fail their gates and the warnings that explain it, from the
+    # Weyl kernels and from the limit symbol, reach the report and the
+    # stderr reason
     out = tmp_path / "gp.json"
     code = run(["groupoid", "--n", "96", "--box", "4", "--hbar-count", "2", "--out", str(out)])
     assert code == 1
-    assert read_json(out)["config"]["warnings"] == [
+    warnings = [
         "p-boundary decay 2.33e-04 above tolerance (first at hbar=1)",
         "p-boundary truncation: relative edge magnitude 2.33e-04 (first at hbar=1)",
     ]
+    assert read_json(out)["config"]["warnings"] == warnings
+    assert capsys.readouterr().err == (
+        "strictq groupoid: failed wm_correspondence, tangent_boundary; "
+        f"warnings: {'; '.join(warnings)}\n")
 
 
 def test_star_report(tmp_path):

@@ -1,0 +1,37 @@
+"""The benchmark tracer's layer names resolve on the strictq modules.
+
+``benchmarks/tracer.py`` names every traced function by module and
+attribute; a rename in ``src`` would otherwise surface only as a crash
+of a traced benchmark run.  The tracer is loaded by path, unchanged.
+"""
+
+import importlib
+import importlib.util
+from functools import reduce
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("strictq_benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolves(layer, name):
+    module = importlib.import_module(f"strictq.{layer}")
+    try:
+        return callable(reduce(getattr, name.split("."), module))
+    except AttributeError:
+        return False
+
+
+def test_tracer_layers_resolve():
+    layers = load_tracer().LAYERS
+    names = [(layer, name) for layer, names in layers.items() for name in names]
+    assert names
+    missing = [f"{layer}.{name}" for layer, name in names if not resolves(layer, name)]
+    assert missing == []
+

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import strictq
-from strictq.core import Grid1D, Grid2D, quadrature, sample, spectral_derivative
+from strictq.core import Grid1D, Grid2D, quadrature, sample, spectral_derivative, trig_shift
 from strictq.gaussian import GaussianObservable, chi_vector
 from strictq.symbols import coordinate_field, gaussian_field, window_field
 from strictq.weyl import (
+    AccuracyError,
     AliasingError,
     ContractError,
     OperatorKernel,
@@ -27,7 +28,7 @@ from strictq.weyl import (
     star_product,
     weyl_kernel,
 )
-from strictq.weyl import _antidiagonal_table, _gather_table, _midpoints
+from strictq.weyl import _gather_table, _midpoints
 
 from conftest import random_gaussians, sampled_gaussian
 
@@ -326,6 +327,37 @@ def dense_kernel_matrix(f, hbar, qgrid):
     return _gather_table(fmid @ phases.T * (dp / (2.0 * np.pi * hbar)), n)
 
 
+def oracle_antidiagonal_table(kernel: OperatorKernel) -> np.ndarray:
+    """Kernel in midpoint/separation coordinates, A[i, u] = K(q_i + u dq/4, q_i - u dq/4).
+
+    Row i is the anti-diagonal through the grid point q_i, sampled at
+    separations ``u dq/2`` for u = -2(n-1)..2(n-1).  The kernel's
+    interpolant has separation bandwidth up to pi/dq (the sum of two
+    position bandwidths over two), so the separation grid is refined to
+    dq/2: off-lattice values come from quarter-cell FFT shifts of the
+    whole matrix.  Without the refinement, multiplying by the transform
+    phase would alias for kernels with band-edge content (e.g. the
+    discrete identity).  Entries whose anti-diagonal leaves the matrix
+    are zero.
+    """
+    n = kernel.grid.n
+    dq = kernel.grid.delta
+    shifted = {0: kernel.matrix}
+    for c in (1, 2, 3):
+        s = c * dq / 4.0
+        shifted[c] = trig_shift(trig_shift(kernel.matrix, 0, +s, dq), 1, -s, dq)
+    m = 2 * (n - 1)
+    a = np.zeros((n, 2 * m + 1), dtype=complex)
+    i = np.arange(n)
+    for u in range(-m, m + 1):
+        c = u % 4
+        w = (u - c) // 4
+        rows, cols = i + w, i - w
+        ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+        a[i[ok], u + m] = shifted[c][rows[ok], cols[ok]]
+    return a
+
+
 def dense_dequantize_values(kernel, pgrid):
     """Symbol samples by one dense phase product over the anti-diagonals."""
     n = kernel.grid.n
@@ -337,7 +369,7 @@ def dense_dequantize_values(kernel, pgrid):
     inside = np.abs(p) <= np.pi * hbar / dq
     phases = np.zeros((2 * m + 1, pgrid.paxis.n), dtype=complex)
     phases[:, inside] = np.exp(-1j * np.outer(seps, p[inside]) / hbar)
-    return _antidiagonal_table(kernel) @ phases * (dq / 2.0)
+    return oracle_antidiagonal_table(kernel) @ phases * (dq / 2.0)
 
 
 def relative_gap(got, want):
@@ -399,6 +431,45 @@ def test_round_trip_odd_and_non_square_grids(n, n_p, hbar, center, widths):
     f = sampled_gaussian(obs, grid)
     back = dequantize(weyl_kernel(f, hbar, qgrid), grid)
     assert np.max(np.abs(back.values - f.values)) <= 1e-11 * f.sup_norm()
+
+
+def noise_kernel(n, hbar, width, seed):
+    """Complex white noise under a Gaussian envelope on the box [-8, 8]:
+    content up to the Nyquist modes of both axes, decayed at the box edge."""
+    qgrid = Grid1D(-8.0, 8.0, n)
+    q = qgrid.points
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-(q[:, None] ** 2 + q[None, :] ** 2) / (2.0 * width ** 2))
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return OperatorKernel(grid=qgrid, matrix=noise * envelope, hbar=hbar)
+
+
+@settings(max_examples=10)
+@given(n=sizes, n_t=sizes, hbar=st.floats(0.05, 1.0), width=st.floats(0.8, 1.5),
+       shift=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+@example(n=65, n_t=64, hbar=0.5, width=1.5, shift=0.0, seed=0)
+@example(n=200, n_t=300, hbar=1.0, width=1.2, shift=0.5, seed=1)
+@example(n=257, n_t=129, hbar=0.1, width=1.0, shift=-0.7, seed=2)
+def test_dequantize_noise_matches_dense_oracle(n, n_t, hbar, width, shift, seed):
+    # odd and even n (the even-n Nyquist row and column are split on both
+    # axes, as the quarter-cell shifts of the oracle split them); n = 200
+    # and 257 span several row blocks of the chart
+    kernel = noise_kernel(n, hbar, width, seed)
+    target = Grid2D(kernel.grid, Grid1D(-8.0 + shift, 8.0 + shift, n_t))
+    back = dequantize(kernel, target)
+    assert relative_gap(back.values, dense_dequantize_values(kernel, target)) <= 1e-11
+
+
+@pytest.mark.parametrize("n, ratio", [(256, "2.34e-02"), (255, "2.50e-02")])
+def test_dequantize_truncated_kernel_raises(n, ratio):
+    # the envelope has not decayed at the box edge, so the anti-diagonals of
+    # the interior rows are cut off; the message is the one the quarter-cell
+    # table gave for these kernels
+    kernel = noise_kernel(n, 0.5, 3.0, 0)
+    with pytest.raises(AccuracyError) as err:
+        dequantize(kernel)
+    assert str(err.value) == (f"kernel anti-diagonals truncated at relative magnitude {ratio}; "
+                              "enlarge the position box")
 
 
 # ------------------------------------------------------- warning order
