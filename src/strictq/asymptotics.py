@@ -66,6 +66,7 @@ __all__ = [
     "jordan",
     "quantum_bracket",
     "axiom_sweep",
+    "clip_schedule",
     "check_dirac",
     "check_vonneumann",
     "check_norm_limit",
@@ -135,17 +136,15 @@ def _defect(exact: OperatorKernel, approx: OperatorKernel) -> float:
         grid=exact.grid, matrix=exact.matrix - approx.matrix, hbar=exact.hbar))
 
 
-def _clip_schedule(f: SampledFunction, schedule: HbarSchedule):
-    qgrid = f.grid.qaxis
-    floor = hbar_floor(qgrid, f.grid.paxis)
+def clip_schedule(f: SampledFunction, schedule: HbarSchedule, *notes: str):
+    """The schedule without the entries that the aliasing guard of ``weyl_kernel``
+    rejects on f's grids, and ``notes`` with one more if any were dropped."""
+    floor = hbar_floor(f.grid.qaxis, f.grid.paxis)
     clipped = schedule.clipped(floor)
-    notes = [_LIMIT_NOTE]
     if clipped.count < schedule.count:
-        notes.append(
-            f"schedule clipped from {schedule.count} to {clipped.count} entries "
-            f"by the aliasing guard (hbar_min = {floor:g})"
-        )
-    return qgrid, clipped, tuple(notes)
+        notes += (f"schedule clipped from {schedule.count} to {clipped.count} entries "
+                  f"by the aliasing guard (hbar_min = {floor:g})",)
+    return clipped, notes
 
 
 def _require_fields(*fs: SampledFunction):
@@ -217,7 +216,8 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
     clipped schedule has fewer than two entries.
     """
     _require_fields(f, g)
-    qgrid, clipped, notes = _clip_schedule(f, schedule)
+    qgrid = f.grid.qaxis
+    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
     product, bracket = _classical(f, g)
     dirac, vonneumann, norms, star = [], [], [], []
     seen_dirac, seen_vonneumann, seen_norm, seen_star = {}, {}, {}, {}
@@ -270,10 +270,10 @@ def check_vonneumann(f: SampledFunction, g: SampledFunction, schedule: HbarSched
     return axiom_sweep(f, g, schedule)[1]
 
 
-def _norms(f: SampledFunction, qgrid, hbars, seen: dict) -> list:
+def _norms(f: SampledFunction, hbars, seen: dict) -> list:
     norms = []
     for hbar in hbars:
-        kernel = weyl_kernel(f, hbar, qgrid)
+        kernel = weyl_kernel(f, hbar, f.grid.qaxis)
         record_warnings(seen, hbar, kernel)
         norms.append(op_norm(kernel))
     return norms
@@ -281,19 +281,19 @@ def _norms(f: SampledFunction, qgrid, hbars, seen: dict) -> list:
 
 def check_norm_limit(f: SampledFunction, schedule: HbarSchedule) -> AxiomReport:
     """Defect of the norm limit ||Q(f)|| -> sup|f|."""
-    qgrid, clipped, notes = _clip_schedule(f, schedule)
+    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
     seen = {}
-    norms = _norms(f, qgrid, clipped.values, seen)
+    norms = _norms(f, clipped.values, seen)
     return _norm_limit_report(f, clipped.values, norms, notes, seen)
 
 
 def check_norm_continuity(f: SampledFunction, schedule: HbarSchedule) -> AxiomReport:
     """Gaps of ||Q(f)|| between successive scheduled hbar values."""
-    qgrid, clipped, notes = _clip_schedule(f, schedule)
+    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
     if clipped.count < 2:
         raise ValueError("norm continuity needs at least two scheduled values")
     seen = {}
-    norms = _norms(f, qgrid, clipped.values, seen)
+    norms = _norms(f, clipped.values, seen)
     return _norm_continuity_report(f, clipped.values, norms, notes, seen)
 
 
@@ -304,11 +304,11 @@ def check_star_limits(f: SampledFunction, g: SampledFunction, schedule: HbarSche
     sup|(f * g - g * f)/(i hbar) - {f, g}|.
     """
     _require_fields(f, g)
-    qgrid, clipped, notes = _clip_schedule(f, schedule)
+    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
     product, bracket = _classical(f, g)
     seen, star = {}, []
     for hbar in clipped.values:
-        ka = weyl_kernel(f, hbar, qgrid)
-        kb = weyl_kernel(g, hbar, qgrid)
+        ka = weyl_kernel(f, hbar, f.grid.qaxis)
+        kb = weyl_kernel(g, hbar, f.grid.qaxis)
         star.append(_star_step(compose(ka, kb), compose(kb, ka), product, bracket, seen))
     return _star_reports(clipped.values, star, product, bracket, notes, seen)

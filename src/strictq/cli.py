@@ -255,7 +255,7 @@ def _random_element(rng, theta):
 def cmd_landsman(args) -> int:
     cfg = _runconfig(args)
     name = args.metric
-    schedule = cfg.schedule()
+    schedule, notes = cfg.schedule(), ()
     if name == "flat":
         metric = landsman_mod.metric_flat()
         axis = Grid1D(-cfg.box, cfg.box, cfg.n)
@@ -264,6 +264,7 @@ def cmd_landsman(args) -> int:
         f = sample(gaussian_field(obs), grid)
         fiber = landsman_mod.fiber_fourier(f, metric).fiber
         fsym = landsman_mod.gaussian_fiber_symbol(obs, metric, axis, fiber)
+        schedule, notes = asymptotics.clip_schedule(f, schedule)
         rows = []
         ok = True
         for hbar in schedule.values:
@@ -328,7 +329,7 @@ def cmd_landsman(args) -> int:
         columns = ["hbar", "hermiticity_gap", "kernel_scale"]
     write_report(
         "landsman",
-        _config_dict(cfg, metric=name),
+        _config_dict(cfg, metric=name, notes=list(notes)),
         columns,
         rows,
         cfg.out,
@@ -345,10 +346,8 @@ def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
 
 def cmd_groupoid(args) -> int:
     cfg = _runconfig(args)
-    axis = Grid1D(-cfg.box, cfg.box, cfg.n)
-    grid = Grid2D(axis, axis)
     obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
-    f = sample(gaussian_field(obs), grid)
+    f = sample(gaussian_field(obs), cfg.grid())
     schedule = cfg.schedule()
     rows = []
     wm_ok = True

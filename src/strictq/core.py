@@ -56,6 +56,7 @@ __all__ = [
     "conjugate_grid",
     "spectral_derivative",
     "poisson_bracket",
+    "shift_factors",
     "trig_shift",
     "boundary_decay",
     "record_warnings",
@@ -331,19 +332,22 @@ def poisson_bracket(f: SampledFunction, g: SampledFunction) -> SampledFunction:
                            warnings=tuple(dict.fromkeys(f.warnings + g.warnings)))
 
 
-def trig_shift(values: np.ndarray, axis: int, shift: float, delta: float):
-    """Evaluate the trigonometric interpolant at points shifted by ``shift``.
-
-    Returns samples of the band-limited interpolant of ``values`` at
-    ``x_j + shift`` along the given axis.  The Nyquist mode is
-    symmetrized (cosine factor) so that real inputs stay real.
-    """
-    n = values.shape[axis]
+def shift_factors(n: int, delta: float, shifts) -> np.ndarray:
+    """Multipliers ``e^{i k s}`` of the n DFT modes that shift the trigonometric
+    interpolant by each s of ``shifts``, shape (n, len(shifts)).  The even-n
+    Nyquist mode is symmetrized (cosine factor) so that real inputs stay real."""
     k = _wavenumbers(n, delta)
-    factor = np.exp(1j * k * shift)
+    factor = np.exp(1j * np.outer(k, shifts))
     if n % 2 == 0:
-        factor = factor.copy()
-        factor[n // 2] = np.cos(k[n // 2] * shift)
+        factor[n // 2] = np.cos(k[n // 2] * np.ravel(shifts))
+    return factor
+
+
+def trig_shift(values: np.ndarray, axis: int, shift: float, delta: float):
+    """Samples of the band-limited interpolant of ``values`` at ``x_j + shift``
+    along the given axis (:func:`shift_factors`)."""
+    n = values.shape[axis]
     shape = [1] * values.ndim
     shape[axis] = n
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * factor.reshape(shape), axis=axis)
+    factor = shift_factors(n, delta, shift).reshape(shape)
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * factor, axis=axis)

@@ -14,7 +14,10 @@ eps > 0 is represented on states by
 an integral kernel on the position grid.  At ``eps = hbar`` this kernel
 is exactly the Weyl kernel of the phase-space function whose fiber
 transform (with sign ``e^{-i p y}``) produced f; ``wm_correspondence``
-measures the operator-norm gap between the two constructions.
+measures the operator-norm gap between the two constructions.  That
+element (``fiber_hat``) is one Fourier pass: an FFT along p, then the
+shear ``x -> x + hbar y/2`` read off the periodic x-interpolant that the
+involution and the boundary check read too, by one FFT pair over x.
 
 The boundary check views a family of kernels together with a candidate
 limit symbol ft(q, v) as one object and asks, for every scheduled hbar,
@@ -51,18 +54,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DECAY_TOL,
-    Grid1D,
     Grid2D,
     GridError,
     SampledFunction,
     boundary_decay,
     conjugate_grid,
     record_warnings,
+    shift_factors,
     tagged_warnings,
     trig_shift,
 )
-from .weyl import OperatorKernel, _shifted_diagonals, op_norm, weyl_kernel
+from .weyl import (OperatorKernel, _shifted_diagonals, _sum_difference_index, op_norm,
+                   weyl_kernel)
 
 __all__ = [
     "GroupoidFunction",
@@ -151,13 +154,8 @@ def groupoid_involution(f: GroupoidFunction) -> GroupoidFunction:
     yaxis = f.grid.paxis
     if abs(yaxis.lo + yaxis.hi) > 1e-12 * (yaxis.hi - yaxis.lo):
         raise GridError("involution needs a y-axis symmetric about 0")
-    y = yaxis.points
-    out = np.empty_like(f.values, dtype=complex)
-    gx = np.fft.fft(f.values, axis=0)
-    kx = 2.0 * np.pi * np.fft.fftfreq(f.grid.qaxis.n, d=f.grid.qaxis.delta)[:, None]
-    for j, yj in enumerate(y):
-        shifted = np.fft.ifft(gx * np.exp(1j * kx * (f.epsilon * yj)), axis=0)
-        out[:, j] = np.conj(shifted[:, len(y) - 1 - j])
+    # column j of the reversed array holds y = -y_j
+    out = np.conj(_shear_x(f.values[:, ::-1], f.grid.qaxis.delta, f.epsilon * yaxis.points))
     return GroupoidFunction(grid=f.grid, values=out, epsilon=f.epsilon,
                             warnings=f.warnings)
 
@@ -181,17 +179,10 @@ def semidirect_rep(f: GroupoidFunction) -> OperatorKernel:
     half_width = 0.5 * (yaxis.hi - yaxis.lo)
     inside = np.abs(targets) <= half_width
 
-    spec = np.fft.fft(f.values, axis=1) / yaxis.n
-    ky = 2.0 * np.pi * np.fft.fftfreq(yaxis.n, d=yaxis.delta)
-    # midpoint grid: spectrum coefficients refer to e^{i k (y - y_0)} with
-    # y_0 the first sample; evaluate the interpolant at absolute targets
+    # the spectrum refers to the first sample y_0: shift from it onto the targets
     basis = np.zeros((yaxis.n, 2 * n - 1), dtype=complex)
-    rel = targets[inside] - yaxis.points[0]
-    phase = np.exp(1j * np.outer(ky, rel))
-    if yaxis.n % 2 == 0:
-        phase[yaxis.n // 2] = np.cos(ky[yaxis.n // 2] * rel)
-    basis[:, inside] = phase
-    table = spec @ basis  # (n_x, 2n-1) values f(x_i, targets_t)
+    basis[:, inside] = shift_factors(yaxis.n, yaxis.delta, targets[inside] - yaxis.points[0])
+    table = np.fft.fft(f.values, axis=1) / yaxis.n @ basis  # values f(x_i, targets_t)
 
     warnings = list(f.warnings)
     if not inside.all():
@@ -209,28 +200,35 @@ def semidirect_rep(f: GroupoidFunction) -> OperatorKernel:
                           warnings=tuple(warnings))
 
 
-def fiber_hat(f: SampledFunction, hbar: float, ygrid: Grid1D | None = None) -> GroupoidFunction:
-    """Groupoid element of a phase-space function: ``int dp/2pi e^{-ipy} f(x + hbar y/2, p)``."""
+def _shear_x(values: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray:
+    """Column k of ``values`` read off its periodic x-interpolant at ``x + shifts[k]``
+    by one FFT pair; even-n Nyquist mode split by cosine, as in ``trig_shift``."""
+    factor = shift_factors(values.shape[0], dx, shifts)
+    return np.fft.ifft(np.fft.fft(values, axis=0) * factor, axis=0)
+
+
+def fiber_hat(f: SampledFunction, hbar: float) -> GroupoidFunction:
+    """Groupoid element of a phase-space function: ``int dp/2pi e^{-ipy} f(x + hbar y/2, p)``.
+
+    One Fourier pass over the samples: ``g = int dp/2pi e^{-ipy} f(x, p)`` on
+    the conjugate y-grid by an FFT along p, then the shear of g along x read
+    off the periodic x-interpolant, as elsewhere in the module (:func:`_shear_x`).
+    """
     if not isinstance(f.grid, Grid2D):
         raise GridError("fiber_hat needs a phase-space sampled function")
     paxis = f.grid.paxis
-    yaxis = ygrid if ygrid is not None else conjugate_grid(paxis)
-    x = f.grid.qaxis.points
-    p = paxis.points
+    yaxis = conjugate_grid(paxis)
     y = yaxis.points
-    out = np.empty((x.size, y.size), dtype=complex)
-    if f.symbol is not None:
-        for k, yk in enumerate(y):
-            fm = np.asarray(f.symbol(x[:, None] + hbar * yk / 2.0, p[None, :]))
-            out[:, k] = fm @ np.exp(-1j * p * yk) * (paxis.delta / (2.0 * np.pi))
-    else:
-        fx = np.fft.fft(f.values, axis=0)
-        kx = 2.0 * np.pi * np.fft.fftfreq(x.size, d=f.grid.qaxis.delta)[:, None]
-        for k, yk in enumerate(y):
-            fm = np.fft.ifft(fx * np.exp(1j * kx * (hbar * yk / 2.0)), axis=0)
-            out[:, k] = fm @ np.exp(-1j * p * yk) * (paxis.delta / (2.0 * np.pi))
+    # about the centre sample c, p_j y_k = p_c y_k + 2 pi (j - c)(k - n/2)/n: the
+    # integer phases ride on (-1)^j, the FFT and e^{2 pi i ck/n}, reduced exactly
+    n, c = paxis.n, paxis.n // 2
+    k = np.arange(n)
+    post = (-1.0) ** c * (paxis.delta / (2.0 * np.pi)) * np.exp(
+        1j * (2.0 * np.pi * (c * k % n) / n - paxis.points[c] * y))
+    g = np.fft.fft(f.values * (-1.0) ** k, axis=1) * post
     grid = Grid2D(qaxis=f.grid.qaxis, paxis=yaxis)
-    return GroupoidFunction(grid=grid, values=out, epsilon=hbar, warnings=f.warnings)
+    return GroupoidFunction(grid=grid, values=_shear_x(g, f.grid.qaxis.delta, hbar * y / 2.0),
+                            epsilon=hbar, warnings=f.warnings)
 
 
 def wm_correspondence(f: SampledFunction, hbar: float) -> dict:
@@ -307,6 +305,7 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     defects, raws, windows = [], [], []
     notes = []
     seen: dict = {}
+    index = _sum_difference_index(qaxis.n)
     for hbar, kernel in zip(family.hbars, family.kernels):
         if kernel.grid != qaxis:
             raise GridError("family kernels must share the symbol's position axis")
@@ -322,7 +321,8 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
         cols = np.flatnonzero(ok)
         c = (cols[0] + cols[-1]) // 2
         diag = np.vstack([block for _, block in _shifted_diagonals(
-            kernel.matrix, qaxis.delta, hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c)])
+            kernel.matrix, qaxis.delta, hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c,
+            index)])
         gap = np.abs(hbar * diag - symbol.values[:, ok])
         defects.append(float(np.max(gap)))
         raws.append(float(np.max(np.abs(diag - symbol.values[:, ok]))))

@@ -30,14 +30,13 @@ genuinely curved case, and a flat circle exercises the compact one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from numpy.linalg import eigvalsh
 from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.linalg import svdvals
 
 from .core import Grid1D, Grid2D, GridError, SampledFunction, fourier_fiber
-from .weyl import MAX_DENSE_N, OperatorKernel, WaveFunction
+from .weyl import OperatorKernel, WaveFunction, _top_singular_value
 
 __all__ = [
     "Metric1D",
@@ -184,24 +183,28 @@ class FiberSymbol:
         if not self.support_radius > 0:
             raise ValueError("need a positive support radius")
 
+    @cached_property
     def _spline(self):
-        re = RectBivariateSpline(self.base.points, self.fiber.points, self.values.real,
-                                 kx=5, ky=5)
-        im = RectBivariateSpline(self.base.points, self.fiber.points, self.values.imag,
-                                 kx=5, ky=5)
-        return re, im
+        return tuple(RectBivariateSpline(self.base.points, self.fiber.points, part, kx=5, ky=5)
+                     for part in (self.values.real, self.values.imag))
 
     def evaluate(self, q, v):
-        """Evaluate at scattered points; zero outside the support radius."""
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
+        """Evaluate at scattered points; zero outside the support radius.
+
+        Only points with ``|v| <= support_radius`` are evaluated (closed
+        form, else the spline pair, built once per symbol); both are
+        pointwise, so this equals evaluating everywhere and masking.
+        """
+        q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+        inside = np.abs(v) <= self.support_radius
+        q, v = q[inside], v[inside]
+        out = np.zeros(inside.shape, dtype=complex)
         if self.symbol is not None:
-            out = np.asarray(self.symbol(q, v), dtype=complex)
+            out[inside] = self.symbol(q, v)
         else:
-            re, im = self._spline()
-            out = re.ev(q.ravel(), v.ravel()) + 1j * im.ev(q.ravel(), v.ravel())
-            out = out.reshape(q.shape)
-        return np.where(np.abs(v) <= self.support_radius, out, 0.0)
+            re, im = self._spline
+            out[inside] = re.ev(q, v) + 1j * im.ev(q, v)
+        return out
 
 
 def _support_radius(values: np.ndarray, fiber: Grid1D, tol: float = 1e-12) -> float:
@@ -362,14 +365,5 @@ def weighted_compose(a: OperatorKernel, b: OperatorKernel, metric: Metric1D) -> 
 
 def weighted_op_norm(kernel: OperatorKernel, metric: Metric1D) -> float:
     """Operator norm in L^2(sqrt(g) dx) via the similarity-transformed matrix."""
-    n = kernel.grid.n
-    if n > MAX_DENSE_N:
-        raise ValueError(f"dense norm limited to n <= {MAX_DENSE_N}, got {n}")
     w = np.sqrt(metric.sqrt_g(kernel.grid.points) * kernel.grid.delta)
-    m = w[:, None] * kernel.matrix * w[None, :]
-    scale = np.max(np.abs(m))
-    if scale == 0.0:
-        return 0.0
-    if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
-        return float(np.max(np.abs(eigvalsh(m))))
-    return float(svdvals(m)[0])
+    return _top_singular_value(w[:, None] * kernel.matrix * w[None, :])

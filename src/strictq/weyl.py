@@ -285,20 +285,22 @@ def hs_norm(kernel: OperatorKernel) -> float:
     return float(np.sqrt(np.sum(np.abs(kernel.matrix) ** 2)) * kernel.grid.delta)
 
 
-def op_norm(kernel: OperatorKernel) -> float:
-    """Operator norm: largest singular value of ``matrix * dq``."""
-    n = kernel.grid.n
+def _top_singular_value(m: np.ndarray) -> float:
+    """Largest singular value of a dense matrix (``eigvalsh`` if Hermitian to 1e-13)."""
+    n = m.shape[0]
     if n > MAX_DENSE_N:
         raise ValueError(f"dense norm limited to n <= {MAX_DENSE_N}, got {n}")
-    m = kernel.matrix
     scale = np.max(np.abs(m))
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
-        top = np.max(np.abs(eigvalsh(m)))
-    else:
-        top = svdvals(m)[0]
-    return float(top * kernel.grid.delta)
+        return float(np.max(np.abs(eigvalsh(m))))
+    return float(svdvals(m)[0])
+
+
+def op_norm(kernel: OperatorKernel) -> float:
+    """Operator norm: largest singular value of ``matrix * dq``."""
+    return _top_singular_value(kernel.matrix) * kernel.grid.delta
 
 
 def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
@@ -343,7 +345,7 @@ def _sum_difference_index(n: int) -> np.ndarray:
     return np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
 
 
-def _coefficient_table(matrix: np.ndarray) -> np.ndarray:
+def _coefficient_table(matrix: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """``E[i, m] = sum_J e^{2 pi i J i/n} C[J, m]``, C the 2-D Fourier
     coefficients of the matrix summed by (J, m), even-n Nyquist readings
     at half weight each (:func:`_sum_difference_index`).
@@ -358,14 +360,14 @@ def _coefficient_table(matrix: np.ndarray) -> np.ndarray:
         spec[:, h] *= 0.5
         spec[h] *= 0.5
         spec = np.concatenate([spec.ravel(), spec[:, h], spec[h], spec[h, h:h + 1]])
-    table = np.bincount(_sum_difference_index(n), spec.ravel().view(np.float64),
-                        2 * n * (2 * n + 1))
+    table = np.bincount(_sum_difference_index(n) if index is None else index,
+                        spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
     return ifft(table.view(complex).reshape(n, 2 * n + 1), axis=0, norm="forward",
                 overwrite_x=True)
 
 
 def _shifted_diagonals(matrix: np.ndarray, dq: float, s0: float, ds: float,
-                       t: np.ndarray):
+                       t: np.ndarray, index: np.ndarray | None = None):
     """Diagonals of the interpolant of ``matrix`` shifted by (+s, -s), s = s0 + t ds.
 
     The midpoint/separation chart of a kernel: yields ``(rows, D[rows])``
@@ -379,13 +381,14 @@ def _shifted_diagonals(matrix: np.ndarray, dq: float, s0: float, ds: float,
         C[J, m]   = sum_{j1 + j2 = J mod n, w1 - w2 = m} Kh[j1, j2],
 
     so the sum over J is one inverse FFT and the sum over m one chirp-z
-    transform per block onto the run of s.
+    transform per block onto the run of s.  ``index`` is
+    ``_sum_difference_index(n)``, for callers that build it once.
     """
     n = matrix.shape[0]
     kappa = 2.0 * np.pi / (n * dq)
     m = np.arange(-n, n + 1)
     pre = np.exp(1j * kappa * s0 * m)
-    table = _coefficient_table(matrix)
+    table = _coefficient_table(matrix, index)
     for r in range(0, n, _CZT_BLOCK):
         rows = slice(r, r + _CZT_BLOCK)
         out = np.empty((table[rows].shape[0], t.size), dtype=complex)

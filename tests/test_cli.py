@@ -182,6 +182,22 @@ def test_landsman_flat_report(tmp_path):
         assert row[1] <= 1e-5 * max(row[2], 1.0)
 
 
+def test_landsman_flat_schedule_clipped_at_aliasing_floor(tmp_path, capsys):
+    # hbar_min = 0.0112 on 128 points: the eighth entry 1/128 is dropped with
+    # the note of the axiom sweep instead of exiting 2 on an unresolved kernel
+    out = tmp_path / "lm.json"
+    assert run(["landsman", "--metric", "flat", "--n", "128", "--hbar-count", "8",
+                "--out", str(out)]) == 0
+    report = read_json(out)
+    assert [row[0] for row in report["rows"]] == [0.5 ** k for k in range(7)]
+    assert report["config"]["notes"] == [
+        "schedule clipped from 8 to 7 entries by the aliasing guard (hbar_min = 0.0111906)"]
+    # on 24 points two entries remain, too coarse for the gap predicate
+    assert run(["landsman", "--metric", "flat", "--n", "24", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "strictq landsman: failed flat sup_gap_vs_weyl\n"
+    assert len(read_json(out)["rows"]) == 2
+
+
 def test_landsman_exp2q_failure_reason(tmp_path, capsys):
     # on 24 points the exp2q Dirac defects grow along the schedule; the
     # stderr reason names the check (the report has no warnings to name)

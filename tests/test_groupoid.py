@@ -3,7 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strictq.core import Grid1D, Grid2D, SampledFunction, fourier_fiber, sample, trig_shift
+from strictq.core import (
+    Grid1D,
+    Grid2D,
+    SampledFunction,
+    conjugate_grid,
+    fourier_fiber,
+    sample,
+    trig_shift,
+)
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import (
     BoundaryReport,
@@ -120,6 +128,14 @@ def test_involution_represents_as_adjoint():
     assert np.max(np.abs(pfs.matrix - pf.matrix.conj().T)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [192, 191])
+def test_involution_is_an_involution(n):
+    grid = Grid2D(Grid1D(-8.0, 8.0, n), YAXIS)
+    f = gfun(lambda x, y: gauss2(0.3, -0.2)(x, y) * np.exp(0.3j * y + 0.2j * x), 0.5, grid)
+    ff = groupoid_involution(groupoid_involution(f))
+    assert np.max(np.abs(ff.values - f.values)) < 1e-13 * np.max(np.abs(f.values))
+
+
 def test_delta_like_function_is_near_identity():
     # unit-mass spike in y, a couple of cells wide so the grid resolves it
     eps = 0.5
@@ -227,13 +243,40 @@ def test_family_validation():
                      boundary_symbol=fam.boundary_symbol)
 
 
-def test_fiber_hat_matches_oracle_free_path():
-    axis = Grid1D(-12.0, 12.0, 256)
-    grid = Grid2D(axis, axis)
-    f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
-    with_oracle = fiber_hat(f, 0.5)
-    without = fiber_hat(f.with_values(f.values), 0.5)
-    assert np.max(np.abs(with_oracle.values - without.values)) < 1e-8
+def oracle_fiber_hat(f, hbar):
+    """fiber_hat by the dense per-y loop: the symbol at x + hbar y/2 on the whole
+    (n x n_p) grid, summed against e^{-i p y} dp/2pi, once per y of the conjugate grid."""
+    paxis = f.grid.paxis
+    x, p = f.grid.qaxis.points, paxis.points
+    y = conjugate_grid(paxis).points
+    out = np.empty((x.size, y.size), dtype=complex)
+    for k, yk in enumerate(y):
+        fm = np.asarray(f.symbol(x[:, None] + hbar * yk / 2.0, p[None, :]))
+        out[:, k] = fm @ np.exp(-1j * p * yk) * (paxis.delta / (2.0 * np.pi))
+    return out
+
+
+@settings(max_examples=10)
+@given(n=st.integers(128, 320), n_p=st.integers(64, 320), hbar=st.floats(0.1, 2.0),
+       q0=st.floats(-0.5, 0.5), p0=st.floats(-0.5, 0.5), alpha=st.floats(0.5, 1.0),
+       beta=st.floats(1.0, 2.0))
+@example(n=384, n_p=384, hbar=2.0, q0=0.2, p0=-0.3, alpha=1.0, beta=0.8)
+@example(n=255, n_p=64, hbar=2.0, q0=-0.5, p0=0.5, alpha=1.0, beta=1.0)
+@example(n=256, n_p=128, hbar=0.1, q0=0.5, p0=0.0, alpha=0.5, beta=2.0)
+def test_fiber_hat_matches_oracle(n, n_p, hbar, q0, p0, alpha, beta):
+    # odd and even n, n_p != n, and shifts hbar y/2 that wrap the box at
+    # hbar = 2.  The oracle reads the symbol outside the box where the pass
+    # reads the periodic interpolant, so the observables are those whose
+    # element has decayed (below 1e-14) wherever the shear wraps: the grids
+    # contain the supports, as the module requires
+    grid = Grid2D(Grid1D(-12.0, 12.0, n), Grid1D(-12.0, 12.0, n_p))
+    f = sampled_gaussian(GaussianObservable(q0, p0, alpha, beta), grid)
+    fh = fiber_hat(f, hbar)
+    oracle = oracle_fiber_hat(f, hbar)
+    assert fh.grid == Grid2D(grid.qaxis, conjugate_grid(grid.paxis)) and fh.epsilon == hbar
+    assert np.max(np.abs(fh.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # the symbol is not read: samples alone give the same element
+    assert np.array_equal(fiber_hat(f.with_values(f.values), hbar).values, fh.values)
 
 
 # ------------------------------------------- boundary check against the oracle

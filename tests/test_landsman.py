@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import RectBivariateSpline
 
 from strictq.core import Grid1D, Grid2D, fourier_fiber as flat_fiber, sample
 from strictq.gaussian import GaussianObservable
@@ -62,6 +63,64 @@ def test_fiber_fourier_metric_scaling():
     a = fiber_fourier(f, FLAT)
     b = fiber_fourier(f, four_g)
     assert np.max(np.abs(b.values - a.values / 2.0)) < 1e-14
+
+
+def whole_grid_then_masked(fsym, q, v):
+    """The evaluation the support restriction must reproduce: every point, then np.where."""
+    q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+    if fsym.symbol is not None:
+        out = np.asarray(fsym.symbol(q, v), dtype=complex)
+    else:
+        re, im = (RectBivariateSpline(fsym.base.points, fsym.fiber.points, part, kx=5, ky=5)
+                  for part in (fsym.values.real, fsym.values.imag))
+        out = (re.ev(q.ravel(), v.ravel()) + 1j * im.ev(q.ravel(), v.ravel())).reshape(q.shape)
+    return np.where(np.abs(v) <= fsym.support_radius, out, 0.0)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_evaluate_only_inside_support_is_bit_identical(closed_form):
+    axis = Grid1D(-2.0, 2.0, 96)
+    pax = Grid1D(-12.0, 12.0, 96)
+    g = GaussianObservable(0.0, -0.2, 0.05, 1.0)
+    fsym = fiber_fourier(sampled_gaussian(g, Grid2D(axis, pax)), EXP2Q)
+    if closed_form:
+        fsym = gaussian_fiber_symbol(g, EXP2Q, axis, fsym.fiber)
+    R = fsym.support_radius
+    q = np.linspace(-1.5, 1.5, 23)[:, None]
+    v = np.concatenate([np.linspace(-2 * R, 2 * R, 37), [R, -R, np.nextafter(R, 0.0)]])[None, :]
+    got = fsym.evaluate(q, v)
+    assert got.shape == (23, 40)
+    assert np.array_equal(got, whole_grid_then_masked(fsym, q, v))
+    assert np.all(got[:, -3:] != 0.0) and np.all(got[:, np.abs(v[0]) > R] == 0.0)
+    # the kernel's (n, n) inputs and scalar inputs, at and beyond the radius
+    x = axis.points
+    qq, XX = phi_hbar_inverse(x[:, None], x[None, :], 0.1, EXP2Q)
+    assert np.array_equal(fsym.evaluate(qq, XX), whole_grid_then_masked(fsym, qq, XX))
+    for vs in (0.3, R, -R, np.nextafter(R, np.inf)):
+        one = fsym.evaluate(0.2, vs)
+        assert one.shape == () and np.array_equal(one, whole_grid_then_masked(fsym, 0.2, vs))
+    assert fsym.evaluate(0.2, np.nextafter(R, np.inf)) == 0.0
+
+
+def test_spline_built_once_per_symbol(monkeypatch):
+    import strictq.landsman as landsman_mod
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return RectBivariateSpline(*args, **kwargs)
+
+    monkeypatch.setattr(landsman_mod, "RectBivariateSpline", counting)
+    base, grid, fA, fB, sA, sB = exp2q_setup(64)
+    fsym = fiber_fourier(fA, EXP2Q)
+    hbar = 0.5 * hbar_admissible(fsym, EXP2Q)
+    for h in (hbar, hbar / 2):
+        landsman_kernel(fsym, h, EXP2Q)
+    fsym.evaluate(0.1, 0.0)
+    assert len(built) == 2
+    fiber_fourier(fB, EXP2Q).evaluate(0.1, 0.0)
+    assert len(built) == 4
 
 
 # ----------------------------------------------------------- geodesic charts
