@@ -243,6 +243,15 @@ def test_family_validation():
                      boundary_symbol=fam.boundary_symbol)
 
 
+def test_fiber_hat_matches_oracle_free_path():
+    axis = Grid1D(-12.0, 12.0, 256)
+    grid = Grid2D(axis, axis)
+    f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
+    with_oracle = fiber_hat(f, 0.5)
+    without = fiber_hat(f.with_values(f.values), 0.5)
+    assert np.max(np.abs(with_oracle.values - without.values)) < 1e-8
+
+
 def oracle_fiber_hat(f, hbar):
     """fiber_hat by the dense per-y loop: the symbol at x + hbar y/2 on the whole
     (n x n_p) grid, summed against e^{-i p y} dp/2pi, once per y of the conjugate grid."""
