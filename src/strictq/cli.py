@@ -28,7 +28,7 @@ from math import gcd
 import numpy as np
 
 from . import CONVENTIONS, __version__
-from .core import Grid1D, Grid2D, HbarSchedule, sample, tagged_warnings
+from .core import Grid1D, Grid2D, HbarSchedule, record_warnings, sample, tagged_warnings
 from .gaussian import GaussianObservable, positivity_verdict
 from .symbols import gaussian_field, poisson_field
 from . import asymptotics
@@ -256,6 +256,7 @@ def cmd_landsman(args) -> int:
     cfg = _runconfig(args)
     name = args.metric
     schedule, notes = cfg.schedule(), ()
+    seen: dict = {}
     if name == "flat":
         metric = landsman_mod.metric_flat()
         axis = Grid1D(-cfg.box, cfg.box, cfg.n)
@@ -270,6 +271,7 @@ def cmd_landsman(args) -> int:
         for hbar in schedule.values:
             kl = landsman_mod.landsman_kernel(fsym, hbar, metric)
             kw = weyl.weyl_kernel(f, hbar, axis)
+            record_warnings(seen, hbar, kl, kw)
             gap = float(np.max(np.abs(kl.matrix - kw.matrix)))
             scale = float(np.max(np.abs(kw.matrix)))
             rows.append([hbar, gap, scale])
@@ -295,13 +297,11 @@ def cmd_landsman(args) -> int:
             ka = landsman_mod.landsman_kernel(sA, hbar, metric)
             kb = landsman_mod.landsman_kernel(sB, hbar, metric)
             kbr = landsman_mod.landsman_kernel(sBr, hbar, metric)
-            ab = landsman_mod.weighted_compose(ka, kb, metric)
-            ba = landsman_mod.weighted_compose(kb, ka, metric)
-            diff = weyl.OperatorKernel(
-                grid=base, matrix=kbr.matrix - (ab.matrix - ba.matrix) / (1j * hbar),
-                hbar=hbar)
-            rows.append([hbar, landsman_mod.weighted_op_norm(diff, metric),
-                         landsman_mod.weighted_op_norm(ka, metric)])
+            record_warnings(seen, hbar, ka, kb, kbr)
+            bracket = asymptotics.quantum_bracket(ka, kb, hbar)
+            diff = weyl.OperatorKernel(grid=base, matrix=kbr.matrix - bracket.matrix,
+                                       hbar=hbar)
+            rows.append([hbar, weyl.op_norm(diff), weyl.op_norm(ka)])
         defects = [r[1] for r in rows]
         ok = all(d2 < d1 for d1, d2 in zip(defects, defects[1:]))
         columns = ["hbar", "dirac_defect", "weighted_norm_f"]
@@ -322,20 +322,22 @@ def cmd_landsman(args) -> int:
         ok = True
         for hbar in _landsman_hbars(schedule, 0.9 * adm):
             kernel = landsman_mod.landsman_kernel(fsym, hbar, metric)
+            record_warnings(seen, hbar, kernel)
             herm = float(np.max(np.abs(kernel.matrix - kernel.matrix.conj().T)))
             scale = float(np.max(np.abs(kernel.matrix)))
             rows.append([hbar, herm, scale])
             ok = ok and herm <= 1e-10 * max(scale, 1.0)
         columns = ["hbar", "hermiticity_gap", "kernel_scale"]
+    warnings = list(tagged_warnings(seen))
     write_report(
         "landsman",
-        _config_dict(cfg, metric=name, notes=list(notes)),
+        _config_dict(cfg, metric=name, notes=list(notes), warnings=warnings),
         columns,
         rows,
         cfg.out,
         cfg.format,
     )
-    return _exit_code("landsman", [] if ok else [f"{name} {columns[1]}"])
+    return _exit_code("landsman", [] if ok else [f"{name} {columns[1]}"], warnings)
 
 
 def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
@@ -356,8 +358,7 @@ def cmd_groupoid(args) -> int:
         res = groupoid_mod.wm_correspondence(f, hbar)
         rows.append([hbar, res["defect"], res["weyl_norm"]])
         wm_ok = wm_ok and res["defect"] <= 1e-5 * max(res["weyl_norm"], 1.0)
-        for message in res["warnings"]:
-            seen.setdefault(message, hbar)
+        record_warnings(seen, hbar, res["rep"], res["weyl"])
     family = groupoid_mod.canonical_family(f, schedule.values)
     boundary = groupoid_mod.tangent_boundary_check(family)
     for hbar, defect, raw in zip(boundary.hbars, boundary.defects, boundary.raw):

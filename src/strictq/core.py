@@ -247,8 +247,17 @@ def conjugate_grid(axis: Grid1D) -> Grid1D:
 
 
 def _fiber_phase(paxis: Grid1D, vpoints: np.ndarray) -> np.ndarray:
-    # phase factor carrying the grid offset p_lo + dp/2 of the first sample
-    return np.exp(1j * (paxis.lo + 0.5 * paxis.delta) * vpoints)
+    """Post-phase of the fiber DFTs: ``e^{-i p_j v_k} = (-1)^j e^{-2 pi i jk/n} phase_k``.
+
+    About the centre sample c, ``p_j v_k = p_c v_k + 2 pi (j - c)(k - n/2)/n``
+    on the conjugate grid: the integer part rides on (-1)^j, the DFT and
+    ``(-1)^c e^{2 pi i ck/n}``, with ck reduced mod n exactly, so only the
+    small ``p_c v_k`` is a rounded phase.  The e^{+ipv} transform takes
+    the conjugate.
+    """
+    n, c = paxis.n, paxis.n // 2
+    k = np.arange(n)
+    return (-1.0) ** c * np.exp(1j * (2.0 * np.pi * (c * k % n) / n - paxis.points[c] * vpoints))
 
 
 def fourier_fiber(f: SampledFunction) -> SampledFunction:
@@ -277,7 +286,7 @@ def fourier_fiber(f: SampledFunction) -> SampledFunction:
     v = vaxis.points
     signs = (-1.0) ** np.arange(n)
     spectrum = np.fft.ifft(f.values * signs, axis=1) * n
-    out = (paxis.delta / (2.0 * np.pi)) * _fiber_phase(paxis, v) * spectrum
+    out = (paxis.delta / (2.0 * np.pi)) * np.conj(_fiber_phase(paxis, v)) * spectrum
     grid = Grid2D(qaxis=f.grid.qaxis, paxis=vaxis)
     return SampledFunction(grid=grid, values=out, symbol=None, warnings=tuple(warnings))
 
@@ -292,7 +301,7 @@ def inverse_fourier_fiber(ft: SampledFunction, paxis: Grid1D) -> SampledFunction
         raise GridError("target p-axis must have the same point count")
     v = vaxis.points
     signs = (-1.0) ** np.arange(n)
-    pre = ft.values * np.conj(_fiber_phase(paxis, v))
+    pre = ft.values * _fiber_phase(paxis, v)
     values = vaxis.delta * signs * np.fft.fft(pre, axis=1)
     grid = Grid2D(qaxis=ft.grid.qaxis, paxis=paxis)
     return SampledFunction(grid=grid, values=values, symbol=None, warnings=ft.warnings)

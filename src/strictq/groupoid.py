@@ -43,8 +43,10 @@ Nyquist modes are split by cosine on both axes
 
 Off-grid evaluation is everywhere the band-limited interpolant, so the
 grids must contain the supports: convolution shifts must stay inside
-the box (truncation error otherwise) and kernel separations beyond the
-representable fiber window are zeroed, mirroring the kernel builder.
+the box (truncation error otherwise), kernel separations beyond the
+representable fiber window are zeroed, mirroring the kernel builder, and
+the shears of ``fiber_hat`` and the involution warn where they read
+wrapped content (all at ``WINDOW_EDGE_TOL``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    Grid1D,
     Grid2D,
     GridError,
     SampledFunction,
@@ -63,6 +66,7 @@ from .core import (
     shift_factors,
     tagged_warnings,
     trig_shift,
+    _fiber_phase,
 )
 from .weyl import (OperatorKernel, _shifted_diagonals, _sum_difference_index, op_norm,
                    weyl_kernel)
@@ -80,6 +84,11 @@ __all__ = [
     "tangent_boundary_check",
     "BoundaryReport",
 ]
+
+
+#: Relative content above which a read past the represented window or a
+#: wrapped shear is flagged.
+WINDOW_EDGE_TOL = 1e-8
 
 
 class TruncationError(ValueError):
@@ -155,9 +164,9 @@ def groupoid_involution(f: GroupoidFunction) -> GroupoidFunction:
     if abs(yaxis.lo + yaxis.hi) > 1e-12 * (yaxis.hi - yaxis.lo):
         raise GridError("involution needs a y-axis symmetric about 0")
     # column j of the reversed array holds y = -y_j
-    out = np.conj(_shear_x(f.values[:, ::-1], f.grid.qaxis.delta, f.epsilon * yaxis.points))
-    return GroupoidFunction(grid=f.grid, values=out, epsilon=f.epsilon,
-                            warnings=f.warnings)
+    out, wrapped = _shear_x(f.values[:, ::-1], f.grid.qaxis, f.epsilon * yaxis.points)
+    return GroupoidFunction(grid=f.grid, values=np.conj(out), epsilon=f.epsilon,
+                            warnings=f.warnings + wrapped)
 
 
 def semidirect_rep(f: GroupoidFunction) -> OperatorKernel:
@@ -189,7 +198,7 @@ def semidirect_rep(f: GroupoidFunction) -> OperatorKernel:
         scale = np.max(np.abs(table))
         edge_idx = np.flatnonzero(inside)
         edge = np.max(np.abs(table[:, edge_idx[[0, -1]]])) if scale > 0 else 0.0
-        if scale > 0 and edge > 1e-8 * scale:
+        if scale > 0 and edge > WINDOW_EDGE_TOL * scale:
             warnings.append(
                 f"fiber content {edge / scale:.2e} at the representable window edge"
             )
@@ -200,11 +209,23 @@ def semidirect_rep(f: GroupoidFunction) -> OperatorKernel:
                           warnings=tuple(warnings))
 
 
-def _shear_x(values: np.ndarray, dx: float, shifts: np.ndarray) -> np.ndarray:
+def _shear_x(values: np.ndarray, xaxis: Grid1D, shifts: np.ndarray):
     """Column k of ``values`` read off its periodic x-interpolant at ``x + shifts[k]``
-    by one FFT pair; even-n Nyquist mode split by cosine, as in ``trig_shift``."""
-    factor = shift_factors(values.shape[0], dx, shifts)
-    return np.fft.ifft(np.fft.fft(values, axis=0) * factor, axis=0)
+    by one FFT pair; even-n Nyquist mode split by cosine, as in ``trig_shift``.
+
+    Returns the sheared array and its warnings: where ``x + shifts[k]``
+    leaves the box the read is wrapped, so content there above
+    ``WINDOW_EDGE_TOL`` of the array's scale is flagged.
+    """
+    factor = shift_factors(xaxis.n, xaxis.delta, shifts)
+    out = np.fft.ifft(np.fft.fft(values, axis=0) * factor, axis=0)
+    x = xaxis.points[:, None] + shifts
+    magnitude = np.abs(out)
+    scale = np.max(magnitude)
+    edge = np.max(magnitude[(x < xaxis.lo) | (x >= xaxis.hi)], initial=0.0)
+    if edge > WINDOW_EDGE_TOL * scale:
+        return out, (f"sheared content {edge / scale:.2e} where the shift wraps the x-box",)
+    return out, ()
 
 
 def fiber_hat(f: SampledFunction, hbar: float) -> GroupoidFunction:
@@ -219,31 +240,26 @@ def fiber_hat(f: SampledFunction, hbar: float) -> GroupoidFunction:
     paxis = f.grid.paxis
     yaxis = conjugate_grid(paxis)
     y = yaxis.points
-    # about the centre sample c, p_j y_k = p_c y_k + 2 pi (j - c)(k - n/2)/n: the
-    # integer phases ride on (-1)^j, the FFT and e^{2 pi i ck/n}, reduced exactly
-    n, c = paxis.n, paxis.n // 2
-    k = np.arange(n)
-    post = (-1.0) ** c * (paxis.delta / (2.0 * np.pi)) * np.exp(
-        1j * (2.0 * np.pi * (c * k % n) / n - paxis.points[c] * y))
-    g = np.fft.fft(f.values * (-1.0) ** k, axis=1) * post
-    grid = Grid2D(qaxis=f.grid.qaxis, paxis=yaxis)
-    return GroupoidFunction(grid=grid, values=_shear_x(g, f.grid.qaxis.delta, hbar * y / 2.0),
-                            epsilon=hbar, warnings=f.warnings)
+    post = (paxis.delta / (2.0 * np.pi)) * _fiber_phase(paxis, y)
+    g = np.fft.fft(f.values * (-1.0) ** np.arange(paxis.n), axis=1) * post
+    values, wrapped = _shear_x(g, f.grid.qaxis, hbar * y / 2.0)
+    return GroupoidFunction(grid=Grid2D(qaxis=f.grid.qaxis, paxis=yaxis), values=values,
+                            epsilon=hbar, warnings=f.warnings + wrapped)
 
 
 def wm_correspondence(f: SampledFunction, hbar: float) -> dict:
     """Compare the semidirect representation of f-hat with the Weyl kernel.
 
-    Returns the groupoid element, the operator-norm defect between the
-    two kernel constructions, the Weyl kernel norm for scale, and the
-    warnings of both kernels.
+    Returns the groupoid element, both kernels (``rep`` and ``weyl``,
+    which carry their warnings), the operator-norm defect between them
+    and the Weyl kernel norm for scale.
     """
     fhat = fiber_hat(f, hbar)
     rep = semidirect_rep(fhat)
     kw = weyl_kernel(f, hbar, f.grid.qaxis)
     diff = OperatorKernel(grid=kw.grid, matrix=rep.matrix - kw.matrix, hbar=hbar)
-    return {"fhat": fhat, "defect": op_norm(diff), "weyl_norm": op_norm(kw),
-            "warnings": tuple(dict.fromkeys(rep.warnings + kw.warnings))}
+    return {"fhat": fhat, "rep": rep, "weyl": kw, "defect": op_norm(diff),
+            "weyl_norm": op_norm(kw)}
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,14 @@ back along that chart,
 
 which is admissible as long as the support of ft stays inside the chart;
 ``hbar_admissible`` computes the largest usable hbar and the kernel
-builder refuses anything above it.  Operators act on and are measured in
-L^2 with weight sqrt(g) dx, so composition and norms carry the weight.
+builder refuses anything above it.
+
+The operators act on L^2(sqrt(g) dx).  On half-densities they are
+ordinary integral operators on L^2(dx) (Landsman 1998): the unitary
+``psi -> g^{1/4} psi`` carries a kernel K to ``g(x)^{1/4} K(x, x')
+g(x')^{1/4}``.  :func:`landsman_kernel` returns its kernels in that
+frame, so :func:`strictq.weyl.apply`, ``compose`` and ``op_norm`` serve
+them with the flat measure dx, as they serve Weyl kernels.
 
 For the flat metric all of this collapses to the Weyl-Moyal kernel; the
 closed-form metric ``g = e^{2q}`` (arclength ``e^q``) exercises the
@@ -36,7 +42,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .core import Grid1D, Grid2D, GridError, SampledFunction, fourier_fiber
-from .weyl import OperatorKernel, WaveFunction, _top_singular_value
+from .weyl import OperatorKernel, compose, op_norm
 
 __all__ = [
     "Metric1D",
@@ -53,9 +59,6 @@ __all__ = [
     "phi_hbar_inverse",
     "hbar_admissible",
     "landsman_kernel",
-    "landsman_apply",
-    "weighted_compose",
-    "weighted_op_norm",
 ]
 
 
@@ -332,7 +335,16 @@ def hbar_admissible(fsym: FiberSymbol, metric: Metric1D) -> float:
 
 
 def landsman_kernel(fsym: FiberSymbol, hbar: float, metric: Metric1D) -> OperatorKernel:
-    """Kernel ``(1/hbar) ft(phi_hbar^{-1}(x_i, x_j))`` on the symbol's base grid."""
+    """Kernel of the quantized ft on the symbol's base grid, in the L^2(dx) frame.
+
+    The operator on L^2(sqrt(g) dx) has kernel ``(1/hbar) ft(phi_hbar^{-1}(x, x'))``;
+    carried to L^2(dx) by ``psi -> g^{1/4} psi`` its matrix is
+
+        (1/hbar) ft(phi_hbar^{-1}(x_i, x_j)) g(x_i)^{1/4} g(x_j)^{1/4},
+
+    the weight applied as one symmetric outer product, so kernels of real
+    symbols stay exactly Hermitian (and flat metrics multiply by 1).
+    """
     limit = hbar_admissible(fsym, metric)
     if hbar > limit:
         raise AdmissibilityError(
@@ -340,30 +352,17 @@ def landsman_kernel(fsym: FiberSymbol, hbar: float, metric: Metric1D) -> Operato
         )
     x = fsym.base.points
     q, X = phi_hbar_inverse(x[:, None], x[None, :], hbar, metric)
-    matrix = fsym.evaluate(q, X) / hbar
+    r = np.sqrt(metric.sqrt_g(x))
+    matrix = fsym.evaluate(q, X) / hbar * np.outer(r, r)
     return OperatorKernel(grid=fsym.base, matrix=matrix, hbar=hbar,
                           warnings=fsym.warnings)
 
 
-def landsman_apply(kernel: OperatorKernel, psi: WaveFunction, metric: Metric1D) -> WaveFunction:
-    """Act in L^2(sqrt(g) dx): ``sum_j K[i, j] psi_j sqrt(g(x_j)) dx``."""
-    if kernel.grid != psi.grid:
-        raise GridError("kernel and wave function live on different grids")
-    w = metric.sqrt_g(psi.grid.points)
-    values = kernel.matrix @ (psi.values * w) * kernel.grid.delta
-    return WaveFunction(grid=psi.grid, values=values)
-
-
+# The two names below exist only because benchmarks/tracer.py traces them
+# by name; the kernels are already in the L^2(dx) frame, so the metric is unused.
 def weighted_compose(a: OperatorKernel, b: OperatorKernel, metric: Metric1D) -> OperatorKernel:
-    """Operator product with the sqrt(g)-weighted measure in the middle."""
-    if a.grid != b.grid or a.hbar != b.hbar:
-        raise GridError("weighted_compose needs matching kernels")
-    w = metric.sqrt_g(a.grid.points)
-    matrix = (a.matrix * w[None, :]) @ b.matrix * a.grid.delta
-    return OperatorKernel(grid=a.grid, matrix=matrix, hbar=a.hbar)
+    return compose(a, b)
 
 
 def weighted_op_norm(kernel: OperatorKernel, metric: Metric1D) -> float:
-    """Operator norm in L^2(sqrt(g) dx) via the similarity-transformed matrix."""
-    w = np.sqrt(metric.sqrt_g(kernel.grid.points) * kernel.grid.delta)
-    return _top_singular_value(w[:, None] * kernel.matrix * w[None, :])
+    return op_norm(kernel)

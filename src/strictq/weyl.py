@@ -285,8 +285,10 @@ def hs_norm(kernel: OperatorKernel) -> float:
     return float(np.sqrt(np.sum(np.abs(kernel.matrix) ** 2)) * kernel.grid.delta)
 
 
-def _top_singular_value(m: np.ndarray) -> float:
-    """Largest singular value of a dense matrix (``eigvalsh`` if Hermitian to 1e-13)."""
+def op_norm(kernel: OperatorKernel) -> float:
+    """Operator norm: largest singular value of ``matrix * dq``
+    (``eigvalsh`` when the matrix is Hermitian to 1e-13)."""
+    m = kernel.matrix
     n = m.shape[0]
     if n > MAX_DENSE_N:
         raise ValueError(f"dense norm limited to n <= {MAX_DENSE_N}, got {n}")
@@ -294,13 +296,8 @@ def _top_singular_value(m: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
-        return float(np.max(np.abs(eigvalsh(m))))
-    return float(svdvals(m)[0])
-
-
-def op_norm(kernel: OperatorKernel) -> float:
-    """Operator norm: largest singular value of ``matrix * dq``."""
-    return _top_singular_value(kernel.matrix) * kernel.grid.delta
+        return float(np.max(np.abs(eigvalsh(m)))) * kernel.grid.delta
+    return float(svdvals(m)[0]) * kernel.grid.delta
 
 
 def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:

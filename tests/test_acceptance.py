@@ -24,7 +24,7 @@ from strictq import landsman as lm
 from strictq import prequant as pq
 from strictq import rotation as rot
 from strictq.groupoid import KernelFamily, canonical_family, tangent_boundary_check, wm_correspondence
-from strictq.weyl import OperatorKernel, hs_norm, weyl_kernel
+from strictq.weyl import OperatorKernel, hs_norm, op_norm, weyl_kernel
 
 from conftest import random_gaussians, sampled_gaussian
 
@@ -270,16 +270,14 @@ def test_criterion_10_landsman():
     for hbar in min(0.9 * adm, 0.16) * 0.5 ** np.arange(4):
         ka = lm.landsman_kernel(sA, hbar, exp2q)
         kb = lm.landsman_kernel(sB, hbar, exp2q)
-        ab = lm.weighted_compose(ka, kb, exp2q)
-        ba = lm.weighted_compose(kb, ka, exp2q)
         kbr = lm.landsman_kernel(sBr, hbar, exp2q)
         kpr = lm.landsman_kernel(sPr, hbar, exp2q)
-        dirac.append(lm.weighted_op_norm(OperatorKernel(
-            grid=base, matrix=kbr.matrix - (ab.matrix - ba.matrix) / (1j * hbar),
-            hbar=hbar), exp2q))
-        vonn.append(lm.weighted_op_norm(OperatorKernel(
-            grid=base, matrix=kpr.matrix - 0.5 * (ab.matrix + ba.matrix),
-            hbar=hbar), exp2q))
+        bracket = asymptotics.quantum_bracket(ka, kb, hbar)
+        product = asymptotics.jordan(ka, kb)
+        dirac.append(op_norm(OperatorKernel(grid=base, matrix=kbr.matrix - bracket.matrix,
+                                            hbar=hbar)))
+        vonn.append(op_norm(OperatorKernel(grid=base, matrix=kpr.matrix - product.matrix,
+                                           hbar=hbar)))
     seq_ok = bool(np.all(np.diff(dirac) < 0) and np.all(np.diff(vonn) < 0))
     report(10, worst <= 1e-5 and seq_ok,
            f"flat-metric equivalence rel sup {worst:.2e} (<=1e-5); exp2q axiom "

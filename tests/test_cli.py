@@ -192,9 +192,18 @@ def test_landsman_flat_schedule_clipped_at_aliasing_floor(tmp_path, capsys):
     assert [row[0] for row in report["rows"]] == [0.5 ** k for k in range(7)]
     assert report["config"]["notes"] == [
         "schedule clipped from 8 to 7 entries by the aliasing guard (hbar_min = 0.0111906)"]
-    # on 24 points two entries remain, too coarse for the gap predicate
+    # on 24 points two entries remain, too coarse for the gap predicate; the
+    # Weyl kernels' band-edge warnings that explain it reach the stderr reason
     assert run(["landsman", "--metric", "flat", "--n", "24", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "strictq landsman: failed flat sup_gap_vs_weyl\n"
+    warnings = [
+        "kernel content 3.40e-02 at the resolved-band edge |q - q'| = 3.14159; refine the "
+        "p-grid or use larger hbar (first at hbar=1)",
+        "kernel content 2.02e-01 at the resolved-band edge |q - q'| = 1.5708; refine the "
+        "p-grid or use larger hbar (first at hbar=0.5)",
+    ]
+    assert read_json(out)["config"]["warnings"] == warnings
+    assert capsys.readouterr().err == (
+        f"strictq landsman: failed flat sup_gap_vs_weyl; warnings: {'; '.join(warnings)}\n")
     assert len(read_json(out)["rows"]) == 2
 
 
@@ -205,7 +214,22 @@ def test_landsman_exp2q_failure_reason(tmp_path, capsys):
     assert run(["landsman", "--metric", "exp2q", "--n", "24", "--out", str(out)]) == 1
     defects = [row[1] for row in read_json(out)["rows"]]
     assert defects[1] > defects[0]
-    assert capsys.readouterr().err == "strictq landsman: failed exp2q dirac_defect\n"
+    assert read_json(out)["config"]["warnings"] == []
+    assert capsys.readouterr().err == "strictq landsman: failed exp2q dirac_defect; warnings: none\n"
+
+
+def test_landsman_report_names_p_truncation(tmp_path, capsys):
+    # on a box of +-5 the flat observable is truncated at the p-boundary: the
+    # Weyl kernel's warnings reach the report, tagged with their first hbar
+    out = tmp_path / "lm.json"
+    assert run(["landsman", "--metric", "flat", "--n", "64", "--box", "5", "--hbar-start",
+                "0.015", "--hbar-count", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(out)["config"]["warnings"] == [
+        "p-boundary decay 1.60e-06 above tolerance (first at hbar=0.015)",
+        "kernel content 4.15e-08 at the resolved-band edge |q - q'| = 0.301593; refine the "
+        "p-grid or use larger hbar (first at hbar=0.015)",
+    ]
 
 
 def test_landsman_exp2q_decreasing(tmp_path):
@@ -226,6 +250,7 @@ def test_landsman_schedule_options(tmp_path):
              "--hbar-start", "0.05", "--out", str(out)])
         hbars = np.array([row[0] for row in read_json(out)["rows"]])
         assert hbars[0] == 0.05
+        assert read_json(out)["config"]["warnings"] == []
         assert np.allclose(hbars[1:] / hbars[:-1], 0.7, rtol=1e-14, atol=0.0)
 
 
@@ -240,16 +265,19 @@ def test_groupoid_report(tmp_path, capsys):
 
 
 def test_groupoid_report_names_decay_warnings(tmp_path, capsys):
-    # on a box of +-4 the observable has not decayed at the p-boundary: both
-    # sections fail their gates and the warnings that explain it, from the
-    # Weyl kernels and from the limit symbol, reach the report and the
-    # stderr reason
+    # on a box of +-4 the observable has not decayed at the p-boundary, and
+    # its groupoid element has not decayed where the shear wraps the x-box:
+    # both sections fail their gates and the warnings that explain it, from
+    # the Weyl kernels, the groupoid elements and the limit symbol, reach the
+    # report and the stderr reason
     out = tmp_path / "gp.json"
     code = run(["groupoid", "--n", "96", "--box", "4", "--hbar-count", "2", "--out", str(out)])
     assert code == 1
     warnings = [
         "p-boundary decay 2.33e-04 above tolerance (first at hbar=1)",
         "p-boundary truncation: relative edge magnitude 2.33e-04 (first at hbar=1)",
+        "sheared content 3.50e-03 where the shift wraps the x-box (first at hbar=1)",
+        "sheared content 9.86e-04 where the shift wraps the x-box (first at hbar=0.5)",
     ]
     assert read_json(out)["config"]["warnings"] == warnings
     assert capsys.readouterr().err == (

@@ -141,6 +141,35 @@ def test_fourier_fiber_round_trip(n_q, n_p, half, centre, shift, alpha, beta):
     assert np.max(np.abs(back.values - f.values)) < 1e-10
 
 
+def long_double_fiber_phase(paxis, sign):
+    """``e^{sign i p_j v_k}`` in long double on the conjugate grid, the integer part
+    of ``p_j v_k = p_c v_k + pi (j - c)(2k - n)/n`` (c the centre sample)
+    reduced mod 2n exactly."""
+    n, c = paxis.n, paxis.n // 2
+    j = np.arange(n)
+    pi = 4 * np.arctan(np.longdouble(1))
+    v = (j - np.longdouble(n) / 2) * (2 * pi / (n * np.longdouble(paxis.delta)))
+    m = ((j[:, None] - c) * (2 * j[None, :] - n)) % (2 * n)
+    arg = sign * (np.longdouble(paxis.points[c]) * v[None, :] + pi * m / n)
+    return np.cos(arg) + 1j * np.sin(arg), pi
+
+
+@pytest.mark.parametrize("n", [384, 383])
+def test_fourier_fiber_matches_exactly_reduced_long_double_sum(n):
+    # |p v| reaches about 600 here: phases taken from the unreduced product
+    # carry about 4e-14 relative error, the exactly reduced ones rounding only
+    grid = Grid2D(Grid1D(-2.0, 2.0, 6), Grid1D(-12.0, 12.0, n))
+    f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
+    ft = fourier_fiber(f)
+    phase, pi = long_double_fiber_phase(grid.paxis, +1)
+    want = f.values.astype(np.clongdouble) @ phase * (np.longdouble(grid.paxis.delta) / (2 * pi))
+    assert np.max(np.abs(ft.values - want)) <= 5e-15 * np.max(np.abs(want))
+    back = inverse_fourier_fiber(ft, grid.paxis)
+    phase, _ = long_double_fiber_phase(grid.paxis, -1)
+    want = ft.values.astype(np.clongdouble) @ phase.T * np.longdouble(ft.grid.paxis.delta)
+    assert np.max(np.abs(back.values - want)) <= 5e-15 * np.max(np.abs(want))
+
+
 def test_fourier_fiber_truncation_warning():
     # boundary decay in the warn band (below the hard wrap limit)
     grid = Grid2D(Grid1D(-16, 16, 256), Grid1D(-5.5, 5.5, 64))

@@ -10,7 +10,7 @@ from strictq.core import (
     conjugate_grid,
     fourier_fiber,
     sample,
-    trig_shift,
+    shift_factors,
 )
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import (
@@ -164,6 +164,24 @@ def test_wm_correspondence(hbar):
     f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
     res = wm_correspondence(f, hbar)
     assert res["defect"] <= 1e-5 * res["weyl_norm"]
+    assert res["rep"].warnings == res["weyl"].warnings == ()
+
+
+def test_wrapped_shear_warns():
+    # the element of this Gaussian has not decayed where the shear hbar y/2
+    # wraps the x-box at hbar = 2 (it differs from the exact symbol read by
+    # 2.1e-7 there): the warning reaches wm_correspondence.  The involution
+    # shears too and warns the same way
+    grid = Grid2D(Grid1D(-12.0, 12.0, 128), Grid1D(-12.0, 12.0, 64))
+    f = sampled_gaussian(GaussianObservable(-1.0, 0.0, 2.0, 0.5), grid)
+    res = wm_correspondence(f, 2.0)
+    wrapped = ("sheared content 2.08e-07 where the shift wraps the x-box",)
+    assert res["fhat"].warnings == res["rep"].warnings == wrapped
+    assert fiber_hat(f, 1.0).warnings == ()
+    wide = gfun(gauss2(0.0, 0.0, 1.0, 16.0), 1.0)
+    assert groupoid_involution(wide).warnings == (
+        "sheared content 1.49e-01 where the shift wraps the x-box",)
+    assert groupoid_involution(gfun(gauss2(0.0, 0.0, 1.0, 16.0), 0.1)).warnings == ()
 
 
 def test_wm_correspondence_zero():
@@ -291,25 +309,34 @@ def test_fiber_hat_matches_oracle(n, n_p, hbar, q0, p0, alpha, beta):
 # ------------------------------------------- boundary check against the oracle
 
 def oracle_boundary_check(family):
-    """The boundary check by trig_shift of the whole kernel along both axes per fiber value.
+    """The boundary check by trigonometric interpolation of the kernel per fiber value.
 
-    Returns (defects, raw, windows, notes): the reference for the check,
-    which reads all fiber values of one hbar from one Fourier pass.
+    Per hbar one forward FFT of the kernel along each axis; per fiber
+    value v the shift factors of ``trig_shift`` (``shift_factors``) at
+    ``(+hbar v/2, -hbar v/2)``, one inverse FFT along the second axis and
+    the first axis's inverse sum read on the diagonal only.  Returns
+    (defects, raw, windows, notes): the reference for the check, which
+    reads all fiber values of one hbar from one Fourier pass.
     """
     symbol = family.boundary_symbol
     qaxis, vaxis = symbol.grid.qaxis, symbol.grid.paxis
     v = vaxis.points
     n, dq = qaxis.n, qaxis.delta
     quarter = 0.25 * (qaxis.hi - qaxis.lo)
+    # inverse DFT along the first axis, read at row i only: e^{2 pi i a i/n}/n
+    a = np.arange(n)
+    inverse = np.exp(2j * np.pi * (np.outer(a, a) % n) / n) / n
     defects, raws, windows, notes = [], [], [], []
     for hbar, kernel in zip(family.hbars, family.kernels):
         ok = np.abs(hbar * v / 2.0) <= quarter
         if not ok.all():
             notes.append(f"hbar={hbar:g}: fiber window clipped to |v| <= {2 * quarter / hbar:g}")
+        spectrum = np.fft.fft(np.fft.fft(kernel.matrix, axis=0), axis=1)
         diag = np.empty((n, int(ok.sum())), dtype=complex)
         for col, vk in enumerate(v[ok]):
-            rows = trig_shift(kernel.matrix, 0, +hbar * vk / 2.0, dq)
-            diag[:, col] = np.diagonal(trig_shift(rows, 1, -hbar * vk / 2.0, dq))
+            shift = shift_factors(n, dq, [hbar * vk / 2.0, -hbar * vk / 2.0])
+            rows = np.fft.ifft(spectrum * shift[:, 1], axis=1)
+            diag[:, col] = np.einsum("a,ai,ai->i", shift[:, 0], inverse, rows)
         defects.append(np.max(np.abs(hbar * diag - symbol.values[:, ok])))
         raws.append(np.max(np.abs(diag - symbol.values[:, ok])))
         windows.append((float(v[ok].min()), float(v[ok].max())))

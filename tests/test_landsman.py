@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import RectBivariateSpline
+from scipy.linalg import eigh
 
+from strictq.asymptotics import jordan, quantum_bracket
 from strictq.core import Grid1D, Grid2D, fourier_fiber as flat_fiber, sample
 from strictq.gaussian import GaussianObservable
 from strictq.landsman import (
@@ -14,18 +16,15 @@ from strictq.landsman import (
     fiber_fourier,
     gaussian_fiber_symbol,
     hbar_admissible,
-    landsman_apply,
     landsman_kernel,
     metric_circle,
     metric_exp2q,
     metric_flat,
     phi_hbar,
     phi_hbar_inverse,
-    weighted_compose,
-    weighted_op_norm,
 )
 from strictq.symbols import gaussian_field, poisson_field
-from strictq.weyl import OperatorKernel, WaveFunction, apply as weyl_apply, weyl_kernel
+from strictq.weyl import OperatorKernel, WaveFunction, apply, compose, op_norm, weyl_kernel
 
 from conftest import sampled_gaussian
 
@@ -185,15 +184,6 @@ def test_flat_equivalence(flat_setup, hbar):
     assert np.max(np.abs(kl.matrix - kw.matrix)) < 1e-5 * np.max(np.abs(kw.matrix))
 
 
-def test_flat_apply_reduces_to_weyl(flat_setup):
-    axis, grid, f, fsym = flat_setup
-    k = landsman_kernel(fsym, 0.5, FLAT)
-    psi = WaveFunction(grid=axis, values=np.exp(-axis.points**2).astype(complex))
-    a = landsman_apply(k, psi, FLAT)
-    b = weyl_apply(k, psi)
-    assert np.max(np.abs(a.values - b.values)) == 0.0
-
-
 def test_circle_kernel_hermitian():
     circ = metric_circle(1.0)
     axis = Grid1D(0.0, 1.0, 128)
@@ -253,7 +243,7 @@ def test_weighted_norm_limit_exp2q():
     adm = hbar_admissible(sA, EXP2Q)
     norms = []
     for hbar in min(0.9 * adm, 0.16) * 0.5 ** np.arange(4):
-        norms.append(weighted_op_norm(landsman_kernel(sA, hbar, EXP2Q), EXP2Q))
+        norms.append(op_norm(landsman_kernel(sA, hbar, EXP2Q)))
     gaps = np.abs(np.array(norms) - fA.sup_norm())
     assert np.all(np.diff(gaps) < 0)
     assert gaps[-1] < 0.1 * fA.sup_norm()
@@ -270,17 +260,110 @@ def test_exp2q_axiom_transfer_dirac_vonneumann():
     for hbar in min(0.9 * adm, 0.16) * 0.5 ** np.arange(4):
         ka = landsman_kernel(sA, hbar, EXP2Q)
         kb = landsman_kernel(sB, hbar, EXP2Q)
-        ab = weighted_compose(ka, kb, EXP2Q)
-        ba = weighted_compose(kb, ka, EXP2Q)
         kbr = landsman_kernel(sBr, hbar, EXP2Q)
         kpr = landsman_kernel(sPr, hbar, EXP2Q)
-        d = OperatorKernel(grid=base,
-                           matrix=kbr.matrix - (ab.matrix - ba.matrix) / (1j * hbar),
-                           hbar=hbar)
-        v = OperatorKernel(grid=base,
-                           matrix=kpr.matrix - 0.5 * (ab.matrix + ba.matrix),
-                           hbar=hbar)
-        dirac.append(weighted_op_norm(d, EXP2Q))
-        vonn.append(weighted_op_norm(v, EXP2Q))
+        d = kbr.matrix - quantum_bracket(ka, kb, hbar).matrix
+        v = kpr.matrix - jordan(ka, kb).matrix
+        dirac.append(op_norm(OperatorKernel(grid=base, matrix=d, hbar=hbar)))
+        vonn.append(op_norm(OperatorKernel(grid=base, matrix=v, hbar=hbar)))
     assert np.all(np.diff(dirac) < 0)
     assert np.all(np.diff(vonn) < 0)
+
+
+# ------------------------------------------------- the L^2(dx) frame vs L^2(sqrt(g) dx)
+
+def kernel_in_sqrt_g_frame(fsym, hbar, metric):
+    """The kernel ``(1/hbar) ft(phi_hbar^{-1}(x_i, x_j))`` acting on L^2(sqrt(g) dx)."""
+    x = fsym.base.points
+    q, X = phi_hbar_inverse(x[:, None], x[None, :], hbar, metric)
+    return OperatorKernel(grid=fsym.base, matrix=fsym.evaluate(q, X) / hbar, hbar=hbar)
+
+
+def sqrt_g_apply(kernel, psi, metric):
+    """Action on L^2(sqrt(g) dx): ``sum_j K[i, j] psi_j sqrt(g(x_j)) dx``."""
+    w = metric.sqrt_g(psi.grid.points)
+    return WaveFunction(grid=psi.grid, values=kernel.matrix @ (psi.values * w) * kernel.grid.delta)
+
+
+def sqrt_g_compose(a, b, metric):
+    """Operator product with the sqrt(g)-weighted measure in the middle."""
+    w = metric.sqrt_g(a.grid.points)
+    return OperatorKernel(grid=a.grid, matrix=(a.matrix * w[None, :]) @ b.matrix * a.grid.delta,
+                          hbar=a.hbar)
+
+
+def sqrt_g_op_norm(kernel, metric):
+    """Operator norm on L^2(sqrt(g) dx) via the similarity-transformed matrix."""
+    w = np.sqrt(metric.sqrt_g(kernel.grid.points) * kernel.grid.delta)
+    return float(np.linalg.svd(w[:, None] * kernel.matrix * w[None, :], compute_uv=False)[0])
+
+
+def sqrt_g_generalized_norm(kernel, metric):
+    """The L^2(sqrt(g) dx) norm of the operator T = K D, D = diag(sqrt(g) dx), as
+    the top generalized eigenvalue of (T^H D T, D): no similarity transform."""
+    d = metric.sqrt_g(kernel.grid.points) * kernel.grid.delta
+    t = kernel.matrix * d[None, :]
+    top = eigh(t.conj().T @ (d[:, None] * t), np.diag(d), eigvals_only=True)[-1]
+    return float(np.sqrt(top))
+
+
+@pytest.fixture(scope="module")
+def frame_cases():
+    """(metric, symbol A, symbol B, hbar) over flat, circle, exp2q and a numeric metric."""
+    cases = []
+    axis = Grid1D(-12.0, 12.0, 192)
+    gA = GaussianObservable(0.2, -0.3, 1.0, 0.8)
+    gB = GaussianObservable(-0.4, 0.5, 0.7, 1.1)
+    fiber = fiber_fourier(sampled_gaussian(gA, Grid2D(axis, axis)), FLAT).fiber
+    cases.append((FLAT, gaussian_fiber_symbol(gA, FLAT, axis, fiber),
+                  gaussian_fiber_symbol(gB, FLAT, axis, fiber), 0.5))
+
+    circ = metric_circle(1.0)
+    caxis, vax = Grid1D(0.0, 1.0, 128), Grid1D(-8.0, 8.0, 128)
+
+    def circle_symbol(shift):
+        def ft(q, v):
+            q, v = np.asarray(q), np.asarray(v)
+            return (1.0 + 0.3 * np.cos(2 * np.pi * (q - shift))) * np.exp(-v ** 2 + 0.4j * v)
+        values = ft(caxis.points[:, None], vax.points[None, :]).astype(complex)
+        return FiberSymbol(base=caxis, fiber=vax, values=values, support_radius=6.0, symbol=ft)
+
+    sA, sB = circle_symbol(0.0), circle_symbol(0.3)
+    cases.append((circ, sA, sB, 0.9 * hbar_admissible(sA, circ)))
+
+    base, grid, fA, fB, eA, eB = exp2q_setup(160)
+    cases.append((EXP2Q, eA, eB, 0.5 * min(hbar_admissible(s, EXP2Q) for s in (eA, eB))))
+
+    bumpy = Metric1D(g=lambda q: (1.0 + 0.5 * np.tanh(np.asarray(q, dtype=float))) ** 2,
+                     lo=-8.0, hi=8.0)
+    baxis = Grid1D(-3.0, 3.0, 160)
+    bfiber = fiber_fourier(sampled_gaussian(gA, Grid2D(baxis, Grid1D(-12.0, 12.0, 160))),
+                           bumpy).fiber
+    bA = gaussian_fiber_symbol(GaussianObservable(0.2, -0.3, 0.1, 1.0), bumpy, baxis, bfiber)
+    bB = gaussian_fiber_symbol(GaussianObservable(-0.1, 0.5, 0.08, 0.9), bumpy, baxis, bfiber)
+    cases.append((bumpy, bA, bB, 0.5 * min(hbar_admissible(s, bumpy) for s in (bA, bB))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["flat", "circle", "exp2q", "numeric"])
+def test_weyl_calculus_serves_landsman_kernels(frame_cases, case):
+    # apply, compose and op_norm of the L^2(dx)-frame kernels agree with the
+    # L^2(sqrt(g) dx) formulas transported by the unitary psi -> g^{1/4} psi;
+    # the symmetric weight keeps kernels of real symbols exactly Hermitian
+    metric, sA, sB, hbar = frame_cases[case]
+    x = sA.base.points
+    r = np.sqrt(metric.sqrt_g(x))
+    ka, kb = landsman_kernel(sA, hbar, metric), landsman_kernel(sB, hbar, metric)
+    oa, ob = (kernel_in_sqrt_g_frame(s, hbar, metric) for s in (sA, sB))
+    assert np.array_equal(ka.matrix, ka.matrix.conj().T)
+    psi = WaveFunction(grid=sA.base, values=np.exp(-x ** 2 + 0.3j * x))
+    got = apply(ka, WaveFunction(grid=sA.base, values=r * psi.values)).values
+    want = r * sqrt_g_apply(oa, psi, metric).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got = compose(ka, kb).matrix
+    want = np.outer(r, r) * sqrt_g_compose(oa, ob, metric).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for k, o in ((ka, oa), (kb, ob)):
+        want = sqrt_g_op_norm(o, metric)
+        assert abs(op_norm(k) - want) <= 1e-13 * want
+        assert abs(op_norm(k) - sqrt_g_generalized_norm(o, metric)) <= 1e-12 * want
