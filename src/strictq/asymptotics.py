@@ -1,30 +1,38 @@
 """Executable checks of the strict-quantization axioms over hbar schedules.
 
-All axiom reports for a pair of observables f, g come from one shared
-quantization pass, :func:`axiom_sweep`.  At each scheduled hbar the pass
-builds the Weyl kernels Q(f), Q(g), Q({f, g}) and Q(fg) and the operator
-products AB = Q(f)Q(g) and BA = Q(g)Q(f), each exactly once, and every
-report draws its defect from them:
+All axiom reports for a pair of real observables f, g come from one
+shared quantization pass, :func:`axiom_sweep`.  At each scheduled hbar
+the pass builds the Weyl kernels Q(f), Q(g), Q({f, g}) and Q(fg) and the
+operator product AB = Q(f)Q(g), each exactly once.  Real observables
+quantize to self-adjoint operators, Q(f)* = Q(f) (kernels of real
+symbols are exactly Hermitian by construction), so the reversed product
+is the adjoint, BA = Q(g)Q(f) = (AB)*, and its Weyl symbol is the
+complex conjugate, g * f = conj(f * g).  Every report draws its defect
+from AB:
 
 * ``dirac``: operator norm of Q({f, g}) minus the quantum bracket
-  (AB - BA) / (i hbar);
+  (AB - AB*) / (i hbar);
 * ``vonneumann``: operator norm of Q(fg) minus the Jordan product
-  (AB + BA) / 2;
+  (AB + AB*) / 2;
 * ``norm_limit``: |  ||Q(f)|| - sup|f|  |;
 * ``norm_continuity``: gaps between the same norms ||Q(f)|| at
   successive scheduled hbar values.  The report is omitted when the
   clipped schedule has fewer than two entries;
 * ``star_limit``: sup norms of (f * g - fg) and of the rescaled star
-  commutator minus the Poisson bracket, where f * g and g * f are the
-  dequantizations of AB and BA.
+  commutator minus the Poisson bracket, where f * g is the
+  dequantization of AB and the commutator
+  (f * g - g * f) / (i hbar) = 2 Im(f * g) / hbar is exactly real.
 
 Q({f, g}) and Q(fg) are built one at a time and released, as are Q(f)
-and Q(g), before AB and BA are dequantized, so AB and BA are the only
-kernels the pass keeps across the steps of one hbar.
+and Q(g), before AB is dequantized, so AB is the only product the pass
+keeps across the steps of one hbar.  Observables whose Q(f) or Q(g) is
+not exactly Hermitian (non-real symbols) are refused with a
+``ValueError``; :func:`jordan` and :func:`quantum_bracket` stay generic
+and compose both orders.
 
 :func:`check_dirac` and :func:`check_vonneumann` are views of one report
 of the pass.  :func:`check_star_limits` runs the pass's star step on its
-own Q(f)Q(g) and Q(g)Q(f), and :func:`check_norm_limit` and
+own Q(f)Q(g), and :func:`check_norm_limit` and
 :func:`check_norm_continuity` quantize f alone.
 
 Limits are reported as sampled sequences together with a pass predicate
@@ -54,6 +62,7 @@ from .core import (
 from .symbols import SymbolField, poisson_field
 from .weyl import (
     OperatorKernel,
+    adjoint,
     compose,
     dequantize,
     hbar_floor,
@@ -156,20 +165,35 @@ def _require_fields(*fs: SampledFunction):
             )
 
 
+def _quantize_real(f: SampledFunction, g: SampledFunction, hbar: float):
+    """Q(f) and Q(g) at hbar, refusing either unless it is exactly Hermitian."""
+    kernels = weyl_kernel(f, hbar, f.grid.qaxis), weyl_kernel(g, hbar, f.grid.qaxis)
+    for name, kernel in zip("fg", kernels):
+        if not np.array_equal(kernel.matrix, kernel.matrix.conj().T):
+            raise ValueError(
+                f"Q({name}) at hbar={hbar:g} is not exactly Hermitian: the axiom pass "
+                f"takes Q(g)Q(f) as (Q(f)Q(g))* and needs a real observable {name}"
+            )
+    return kernels
+
+
 def _classical(f: SampledFunction, g: SampledFunction):
     """The classical limits fg and {f, g}, sampled on f's grid."""
     return (sample(f.symbol * g.symbol, f.grid),
             sample(poisson_field(f.symbol, g.symbol), f.grid))
 
 
-def _star_step(ab: OperatorKernel, ba: OperatorKernel, product: SampledFunction,
-               bracket: SampledFunction, seen: dict):
-    """Star-limit defects at one hbar from the products AB and BA."""
+def _star_step(ab: OperatorKernel, product: SampledFunction, bracket: SampledFunction,
+               seen: dict):
+    """Star-limit defects at one hbar from the product AB = Q(f)Q(g) of real f, g.
+
+    g * f = conj(f * g), so the star commutator (f * g - g * f)/(i hbar)
+    is 2 Im(f * g)/hbar.
+    """
     hbar = ab.hbar
     fg = dequantize(ab, product.grid)
-    gf = dequantize(ba, product.grid)
-    record_warnings(seen, hbar, fg, gf)
-    comm = (fg.values - gf.values) / (1j * hbar)
+    record_warnings(seen, hbar, fg)
+    comm = 2.0 * fg.values.imag / hbar
     return (float(np.max(np.abs(fg.values - product.values))),
             float(np.max(np.abs(comm - bracket.values))))
 
@@ -211,7 +235,9 @@ def _norm_continuity_report(f, hbars, norms, notes, seen) -> AxiomReport:
 def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) -> list:
     """Every axiom report of (f, g) from one quantization pass per clipped hbar.
 
-    Returns ``[dirac, vonneumann, norm_limit, norm_continuity,
+    f and g must be real observables: Q(g)Q(f) is taken as the adjoint of
+    Q(f)Q(g), so a Q(f) or Q(g) that is not exactly Hermitian raises
+    ``ValueError``.  Returns ``[dirac, vonneumann, norm_limit, norm_continuity,
     star product, star bracket]``, without ``norm_continuity`` when the
     clipped schedule has fewer than two entries.
     """
@@ -222,11 +248,11 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
     dirac, vonneumann, norms, star = [], [], [], []
     seen_dirac, seen_vonneumann, seen_norm, seen_star = {}, {}, {}, {}
     for hbar in clipped.values:
-        ka = weyl_kernel(f, hbar, qgrid)
-        kb = weyl_kernel(g, hbar, qgrid)
+        ka, kb = _quantize_real(f, g, hbar)
         record_warnings(seen_norm, hbar, ka)
         norms.append(op_norm(ka))
-        ab, ba = compose(ka, kb), compose(kb, ka)
+        ab = compose(ka, kb)
+        ba = adjoint(ab)
         del ka, kb
         kbr = weyl_kernel(bracket, hbar, qgrid)
         record_warnings(seen_dirac, hbar, ab, kbr)
@@ -235,8 +261,8 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
         kpr = weyl_kernel(product, hbar, qgrid)
         record_warnings(seen_vonneumann, hbar, ab, kpr)
         vonneumann.append(_defect(kpr, _jordan_of(ab, ba)))
-        del kpr
-        star.append(_star_step(ab, ba, product, bracket, seen_star))
+        del kpr, ba
+        star.append(_star_step(ab, product, bracket, seen_star))
 
     hbars = clipped.values
     reports = [
@@ -301,14 +327,15 @@ def check_star_limits(f: SampledFunction, g: SampledFunction, schedule: HbarSche
     """Star-product limits: returns (product report, bracket report).
 
     The product report tracks sup|f * g - fg|; the bracket report tracks
-    sup|(f * g - g * f)/(i hbar) - {f, g}|.
+    sup|(f * g - g * f)/(i hbar) - {f, g}|.  f and g must be real
+    observables: g * f is taken as conj(f * g), so a Q(f) or Q(g) that is
+    not exactly Hermitian raises ``ValueError``.
     """
     _require_fields(f, g)
     clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
     product, bracket = _classical(f, g)
     seen, star = {}, []
     for hbar in clipped.values:
-        ka = weyl_kernel(f, hbar, f.grid.qaxis)
-        kb = weyl_kernel(g, hbar, f.grid.qaxis)
-        star.append(_star_step(compose(ka, kb), compose(kb, ka), product, bracket, seen))
+        ka, kb = _quantize_real(f, g, hbar)
+        star.append(_star_step(compose(ka, kb), product, bracket, seen))
     return _star_reports(clipped.values, star, product, bracket, notes, seen)

@@ -34,7 +34,7 @@ from .symbols import gaussian_field, poisson_field
 from . import asymptotics
 from . import groupoid as groupoid_mod
 from . import landsman as landsman_mod
-from . import prequant
+from . import prequant  # noqa: F401  (importing the CLI loads every layer)
 from . import rotation
 from . import weyl
 

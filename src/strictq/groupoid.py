@@ -158,13 +158,28 @@ def deformed_convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunct
                             warnings=tuple(sorted(warnings)))
 
 
+def _reflection(yaxis: Grid1D) -> np.ndarray:
+    """Column indices of -y_k: the reversal on an axis symmetric about 0, and
+    ``k -> (-k) mod n`` on an axis whose reflection lands on the grid modulo
+    its period ``n dy``, as on the conjugate grids of :func:`fiber_hat`
+    (points ``(k - n/2) dy``, both parities)."""
+    n, dy = yaxis.n, yaxis.delta
+    if abs(yaxis.lo + yaxis.hi) <= 1e-12 * (yaxis.hi - yaxis.lo):
+        return np.arange(n)[::-1]
+    # -y_k = y_{-k} + (-2 lo - dy): on the grid mod n dy iff that is a whole period
+    periods = (-2.0 * yaxis.lo - dy) / (n * dy)
+    if abs(periods - round(periods)) <= 1e-12 * max(1.0, abs(periods)):
+        return -np.arange(n) % n
+    raise GridError("involution needs a y-axis whose reflection lands on the grid, "
+                    "directly or modulo its period")
+
+
 def groupoid_involution(f: GroupoidFunction) -> GroupoidFunction:
-    """Involution ``f*(x, y) = conj f(x + eps y, -y)`` (symmetric y-axis)."""
+    """Involution ``f*(x, y) = conj f(x + eps y, -y)``, with -y read on the grid
+    directly or modulo the y-period (:func:`_reflection`)."""
     yaxis = f.grid.paxis
-    if abs(yaxis.lo + yaxis.hi) > 1e-12 * (yaxis.hi - yaxis.lo):
-        raise GridError("involution needs a y-axis symmetric about 0")
-    # column j of the reversed array holds y = -y_j
-    out, wrapped = _shear_x(f.values[:, ::-1], f.grid.qaxis, f.epsilon * yaxis.points)
+    out, wrapped = _shear_x(f.values[:, _reflection(yaxis)], f.grid.qaxis,
+                            f.epsilon * yaxis.points)
     return GroupoidFunction(grid=f.grid, values=np.conj(out), epsilon=f.epsilon,
                             warnings=f.warnings + wrapped)
 

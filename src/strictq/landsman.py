@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .core import Grid1D, Grid2D, GridError, SampledFunction, fourier_fiber
+from .core import Grid1D, GridError, SampledFunction, fourier_fiber
 from .weyl import OperatorKernel, compose, op_norm
 
 __all__ = [

@@ -11,7 +11,10 @@ oracle (never by interpolation).  Because the kernel depends on (q, q')
 only through the midpoint ``m = (q + q')/2`` and the separation
 ``d = q - q'``, and a midpoint grid has just ``2n - 1`` distinct values
 of each, the build fills a (2n-1) x (2n-1) midpoint/separation table and
-gathers the n x n kernel from its anti-diagonals.
+gathers the n x n kernel from its anti-diagonals as one copy of a strided
+view of the table: a step along a kernel row moves one midpoint down and
+one separation back in the table, a step down a column one of each
+forward, so no index arrays are built.
 
 Sampling limits.  The quadrature resolves the oscillation ``e^{ipd/hbar}``
 only while the phase advances by at most pi per p-sample, i.e. for
@@ -30,9 +33,12 @@ Dequantization inverts the kernel map,
 
 reading the kernel along anti-diagonals at quarter-cell shifts from the
 midpoint/separation chart :func:`_shifted_diagonals`, which the
-tangent-boundary check of :mod:`strictq.groupoid` reads too; between
-grid points the kernel is its trigonometric interpolant, with even-n
-Nyquist modes split on both axes (``CONVENTIONS["even_n_nyquist"]``).
+tangent-boundary check of :mod:`strictq.groupoid` reads too.  Each
+anti-diagonal is cut where it leaves the matrix, on both sides of the
+diagonal alike, so the symbol of K* is the conjugate of the symbol of K
+and Hermitian kernels dequantize to real symbols.  Between grid points
+the kernel is its trigonometric interpolant, with even-n Nyquist modes
+split on both axes (``CONVENTIONS["even_n_nyquist"]``).
 The momentum band resolved by the inverse transform is
 ``|p| <= pi hbar / dq``; values beyond it are zeroed with the same
 band-edge check, and a target grid with no momentum inside the band
@@ -68,6 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.linalg import eigvalsh
 from scipy.fft import fft, fft2, ifft, next_fast_len
 from scipy.linalg import svdvals
@@ -169,8 +176,11 @@ def _midpoints(qgrid: Grid1D) -> np.ndarray:
 
 
 def _gather_table(table: np.ndarray, n: int) -> np.ndarray:
-    i = np.arange(n)
-    return table[i[:, None] + i[None, :], i[:, None] - i[None, :] + n - 1]
+    """``K[i, j] = table[i + j, i - j + n - 1]``: one copy of the view from
+    ``table[0, n - 1]`` that steps (row + col) down and (row - col) across."""
+    rows, cols = table.strides
+    return as_strided(table[0, n - 1:], shape=(n, n), strides=(rows + cols, rows - cols),
+                      writeable=False).copy()
 
 
 def weyl_kernel(f: SampledFunction, hbar: float, qgrid: Grid1D) -> OperatorKernel:
@@ -434,12 +444,12 @@ def dequantize(kernel: OperatorKernel, pgrid: Grid2D | None = None) -> SampledFu
     pre = np.exp(-1j * p[r] * dq / (2.0 * hbar) * sep)
     values = np.zeros((n, pgrid.paxis.n), dtype=complex)
     block = values[:, cols[0]:cols[-1] + 1]
-    # entries whose anti-diagonal leaves the matrix (|u| beyond ~4 mu_i) are zero
+    # entries whose anti-diagonal leaves the matrix (|u| > 4 mu_i) are zero, on
+    # both sides alike, so a Hermitian kernel dequantizes to a real symbol
     mu = np.minimum(np.arange(n), n - 1 - np.arange(n))
     scale = 0.0
     for rows, a in _shifted_diagonals(kernel.matrix, dq, 0.0, dq / 4.0, sep):
-        reach = 4 * mu[rows, None]
-        a[(sep < -reach) | (sep > reach + 3)] = 0.0
+        a[np.abs(sep) > 4 * mu[rows, None]] = 0.0
         scale = max(scale, np.max(np.abs(a)))
         _chirp_z(a, -dq * dp / (2.0 * hbar), sep, c, pre, dq / 2.0, block[rows])
 

@@ -8,7 +8,6 @@ import time
 from math import gcd
 
 import numpy as np
-import pytest
 
 from strictq.core import Grid1D, Grid2D, HbarSchedule, fourier_fiber, quadrature, sample
 from strictq.gaussian import (
@@ -18,7 +17,7 @@ from strictq.gaussian import (
     positivity_intermediates,
     positivity_verdict,
 )
-from strictq.symbols import gaussian_field, poisson_field
+from strictq.symbols import poisson_field
 from strictq import asymptotics
 from strictq import landsman as lm
 from strictq import prequant as pq

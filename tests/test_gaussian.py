@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from strictq.core import Grid1D, quadrature, sample
+from strictq.core import Grid1D
 from strictq.gaussian import (
     DegenerateParameterError,
     GaussianObservable,

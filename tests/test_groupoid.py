@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from strictq.core import (
     Grid1D,
     Grid2D,
+    GridError,
     SampledFunction,
     conjugate_grid,
     fourier_fiber,
@@ -14,7 +15,6 @@ from strictq.core import (
 )
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import (
-    BoundaryReport,
     GroupoidFunction,
     KernelFamily,
     TruncationError,
@@ -134,6 +134,47 @@ def test_involution_is_an_involution(n):
     f = gfun(lambda x, y: gauss2(0.3, -0.2)(x, y) * np.exp(0.3j * y + 0.2j * x), 0.5, grid)
     ff = groupoid_involution(groupoid_involution(f))
     assert np.max(np.abs(ff.values - f.values)) < 1e-13 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("n", [384, 383])
+def test_involution_on_fiber_hat_elements(n):
+    # the element of wm_correspondence lives on the conjugate y-grid (points
+    # (k - n/2) dy), whose reflection lands on the grid modulo the period; for
+    # a real symbol it is self-adjoint, f* = f, since its kernel is Hermitian
+    axis = Grid1D(-12.0, 12.0, n)
+    f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), Grid2D(axis, axis))
+    for hbar in (1.0, 0.5, 0.25, 0.125):
+        fhat = fiber_hat(f, hbar)
+        scale = np.max(np.abs(fhat.values))
+        star = groupoid_involution(fhat)
+        assert np.max(np.abs(groupoid_involution(star).values - fhat.values)) < 1e-13 * scale
+        assert np.max(np.abs(star.values - fhat.values)) < 1e-13 * scale
+        assert star.warnings == ()
+
+
+def test_involution_carries_wrapped_shear_warnings():
+    grid = Grid2D(Grid1D(-12.0, 12.0, 128), Grid1D(-12.0, 12.0, 64))
+    fhat = fiber_hat(sampled_gaussian(GaussianObservable(-1.0, 0.0, 2.0, 0.5), grid), 2.0)
+    assert fhat.warnings
+    assert groupoid_involution(fhat).warnings[:len(fhat.warnings)] == fhat.warnings
+
+
+@pytest.mark.parametrize("n_y", [64, 63])
+def test_involution_eps0_on_conjugate_grid(n_y):
+    # at eps = 0 the involution is conj f(x, -y); -y_0 = +n dy/2 is y_0 one
+    # period on, where the element has decayed
+    yaxis = conjugate_grid(Grid1D(-12.0, 12.0, n_y))
+    grid = Grid2D(XAXIS, yaxis)
+    h = lambda x, y: gauss2(0.3, -0.2)(x, y) * np.exp(0.3j * y + 0.2j * x)
+    f = gfun(h, 0.0, grid)
+    x, y = grid.meshes()
+    assert np.max(np.abs(groupoid_involution(f).values - np.conj(h(x, -y)))) < 1e-14
+
+
+def test_involution_refuses_unreflectable_axis():
+    grid = Grid2D(XAXIS, Grid1D(-8.0, 9.0, 192))
+    with pytest.raises(GridError, match="reflection lands on the grid"):
+        groupoid_involution(gfun(gauss2(0.0, 0.0), 0.5, grid))
 
 
 def test_delta_like_function_is_near_identity():

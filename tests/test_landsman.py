@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import eigh
 
@@ -23,7 +22,7 @@ from strictq.landsman import (
     phi_hbar,
     phi_hbar_inverse,
 )
-from strictq.symbols import gaussian_field, poisson_field
+from strictq.symbols import poisson_field
 from strictq.weyl import OperatorKernel, WaveFunction, apply, compose, op_norm, weyl_kernel
 
 from conftest import sampled_gaussian

@@ -229,6 +229,22 @@ def test_dequantize_adjoint_conjugation(box16):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def test_dequantize_conjugates_adjoints_to_rounding():
+    # anti-diagonals are cut where they leave the matrix on both sides of the
+    # diagonal alike, so K^H dequantizes to the conjugate symbol and a
+    # Hermitian kernel to a real one, also at hbar = 1, where the kernels
+    # reach the box edge (an asymmetric cut left 1.5e-8 of the scale here)
+    axis = Grid1D(-6.0, 6.0, 384)
+    grid = Grid2D(axis, axis)
+    ka = weyl_kernel(sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), grid), 1.0, axis)
+    kb = weyl_kernel(sampled_gaussian(GaussianObservable(-0.3, 0.3, 0.6, 0.55), grid), 1.0, axis)
+    ab = compose(ka, kb)
+    fg = dequantize(ab, grid).values
+    scale = np.max(np.abs(fg))
+    assert np.max(np.abs(dequantize(adjoint(ab), grid).values - np.conj(fg))) < 1e-14 * scale
+    assert np.max(np.abs(dequantize(ka, grid).values.imag)) < 1e-14 * scale
+
+
 def test_dequantize_no_momentum_in_band():
     # every target momentum lies beyond pi hbar / dq = 0.1676
     q = Grid1D(-6.0, 6.0, 64)
@@ -312,6 +328,24 @@ def test_position_momentum_consistency(box16):
 
 # --------------------------------------------- chirp-z against dense oracle
 
+def oracle_gather_table(table, n):
+    """``K[i, j] = table[i + j, i - j + n - 1]`` by two n x n fancy-index arrays."""
+    i = np.arange(n)
+    return table[i[:, None] + i[None, :], i[:, None] - i[None, :] + n - 1]
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 193])
+def test_gather_table_matches_fancy_index_oracle(n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((2 * n - 1, 2 * n - 1, 2)).view(complex)[..., 0]
+    got = _gather_table(table, n)
+    assert np.array_equal(got, oracle_gather_table(table, n))
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not np.shares_memory(got, table)
+    # any strided table, e.g. a transposed view, is read the same way
+    assert np.array_equal(_gather_table(table.T, n), oracle_gather_table(table.T, n))
+
+
 def dense_kernel_matrix(f, hbar, qgrid):
     """Kernel by one dense phase product over the (2n-1)-point tables."""
     paxis = f.grid.paxis
@@ -324,7 +358,7 @@ def dense_kernel_matrix(f, hbar, qgrid):
     inside = np.abs(seps) <= np.pi * hbar / dp
     phases = np.zeros((2 * n - 1, paxis.n), dtype=complex)
     phases[inside] = np.exp(1j * np.outer(seps[inside], p) / hbar)
-    return _gather_table(fmid @ phases.T * (dp / (2.0 * np.pi * hbar)), n)
+    return oracle_gather_table(fmid @ phases.T * (dp / (2.0 * np.pi * hbar)), n)
 
 
 def oracle_antidiagonal_table(kernel: OperatorKernel) -> np.ndarray:
@@ -337,8 +371,9 @@ def oracle_antidiagonal_table(kernel: OperatorKernel) -> np.ndarray:
     dq/2: off-lattice values come from quarter-cell FFT shifts of the
     whole matrix.  Without the refinement, multiplying by the transform
     phase would alias for kernels with band-edge content (e.g. the
-    discrete identity).  Entries whose anti-diagonal leaves the matrix
-    are zero.
+    discrete identity).  Entries whose anti-diagonal leaves the matrix,
+    |u| dq/4 > min(q_i - q_0, q_{n-1} - q_i), are zero on both sides of
+    the diagonal alike.
     """
     n = kernel.grid.n
     dq = kernel.grid.delta
@@ -349,12 +384,12 @@ def oracle_antidiagonal_table(kernel: OperatorKernel) -> np.ndarray:
     m = 2 * (n - 1)
     a = np.zeros((n, 2 * m + 1), dtype=complex)
     i = np.arange(n)
+    mu = np.minimum(i, n - 1 - i)
     for u in range(-m, m + 1):
         c = u % 4
         w = (u - c) // 4
-        rows, cols = i + w, i - w
-        ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-        a[i[ok], u + m] = shifted[c][rows[ok], cols[ok]]
+        ok = abs(u) <= 4 * mu
+        a[i[ok], u + m] = shifted[c][i[ok] + w, i[ok] - w]
     return a
 
 
