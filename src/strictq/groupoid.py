@@ -32,7 +32,7 @@ sequence alongside.
 
 Per hbar the shifted diagonals for the whole fiber window are read from
 the one midpoint/separation chart of a kernel, which dequantization
-reads too (``weyl._shifted_diagonals``): a 2-D FFT of the kernel, whose
+reads too (``weyl._Chart``): a 2-D FFT of the kernel, whose
 coefficients are regrouped by diagonal frequency (the sum of the two
 wavenumbers) and separation frequency (their difference); one inverse
 FFT along the diagonal; and, per block of rows, one chirp-z transform
@@ -68,7 +68,7 @@ from .core import (
     trig_shift,
     _fiber_phase,
 )
-from .weyl import (OperatorKernel, _shifted_diagonals, _sum_difference_index, op_norm,
+from .weyl import (OperatorKernel, _Chart, _sum_difference_index, op_norm,
                    weyl_kernel)
 
 __all__ = [
@@ -320,7 +320,7 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     which wraps periodically; all fiber values of one hbar are read from
     one 2-D FFT of the kernel, one inverse FFT along the diagonal and a
     chirp-z transform across the fiber window per block of rows (see
-    :func:`strictq.weyl._shifted_diagonals`).  Fiber
+    :class:`strictq.weyl._Chart`).  Fiber
     values whose shift ``|hbar v/2|`` exceeds a quarter of the box would
     wrap around it and are clipped out of the comparison window, which is
     reported per hbar.  The warnings of the kernels and of the limit
@@ -351,9 +351,8 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
         # fiber values v_c + t dv, with integer t centred on the window
         cols = np.flatnonzero(ok)
         c = (cols[0] + cols[-1]) // 2
-        diag = np.vstack([block for _, block in _shifted_diagonals(
-            kernel.matrix, qaxis.delta, hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c,
-            index)])
+        diag = _Chart(kernel.matrix, qaxis.delta, index).diagonals(
+            hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c)
         gap = np.abs(hbar * diag - symbol.values[:, ok])
         defects.append(float(np.max(gap)))
         raws.append(float(np.max(np.abs(diag - symbol.values[:, ok]))))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from strictq.cli import _runconfig, build_parser, parse_gaussian_spec
 from strictq.core import Grid1D
 from strictq.gaussian import (
     DegenerateParameterError,
@@ -15,7 +16,7 @@ from strictq.gaussian import (
     positivity_verdict,
     psi_sigma_vector,
 )
-from strictq.weyl import weyl_kernel
+from strictq.weyl import op_norm, weyl_kernel
 
 from conftest import sampled_gaussian
 
@@ -163,3 +164,41 @@ def test_positivity_rank_one_floor():
     g = GaussianObservable(alpha=0.5, beta=(hbar / 2) ** 2 / 0.5)
     verdict = positivity_verdict(g, hbar, Grid1D(-16.0, 16.0, 512))
     assert verdict["min_eigenvalue"] >= -1e-8
+
+
+# ------------------------------------------------------- Mehler closed form
+
+def default_observables(command):
+    """The default ``strictq axioms`` observables and the default grid of ``command``."""
+    args = build_parser().parse_args([command])
+    axioms = build_parser().parse_args(["axioms"])
+    return [parse_gaussian_spec(s) for s in (axioms.f_spec, axioms.g_spec)], _runconfig(args).grid()
+
+
+def mehler_u(g, hbar):
+    return hbar / (2.0 * np.sqrt(g.alpha * g.beta))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.25, 1.0 / 64])
+def test_op_norm_meets_mehler_closed_form(hbar):
+    # Q(f) of f = 2 exp(-(q-q0)^2/2 alpha - (p-p0)^2/2 beta) is unitarily a
+    # function of the harmonic oscillator with eigenvalues
+    # 2/(1+u) ((1-u)/(1+u))^k, k >= 0, u = hbar / (2 sqrt(alpha beta))
+    observables, grid = default_observables("axioms")
+    for g in observables:
+        want = 2.0 / (1.0 + mehler_u(g, hbar))
+        got = op_norm(weyl_kernel(sampled_gaussian(g, grid), hbar, grid.qaxis))
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("hbar", [2.0, 1.0, 0.25, 1.0 / 64])
+def test_positivity_verdict_meets_mehler_closed_form(hbar):
+    # beyond u = 1 (alpha beta < (hbar/2)^2) the k = 1 eigenvalue
+    # 2(1-u)/(1+u)^2 is the most negative one; below it none is negative
+    observables, grid = default_observables("positivity")
+    for g in observables:
+        u = mehler_u(g, hbar)
+        verdict = positivity_verdict(g, hbar, grid.qaxis)
+        assert verdict["positive"] is bool(u <= 1.0)
+        if u > 1.0:
+            assert abs(verdict["min_eigenvalue"] - 2.0 * (1.0 - u) / (1.0 + u) ** 2) <= 1e-12

@@ -1,6 +1,9 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import strictq
+from strictq import weyl
 from strictq.core import Grid1D, Grid2D, quadrature, sample, spectral_derivative, trig_shift
 from strictq.gaussian import GaussianObservable, chi_vector
+from strictq.groupoid import canonical_family, tangent_boundary_check
 from strictq.symbols import coordinate_field, gaussian_field, window_field
 from strictq.weyl import (
     AccuracyError,
@@ -28,7 +33,7 @@ from strictq.weyl import (
     star_product,
     weyl_kernel,
 )
-from strictq.weyl import _gather_table, _midpoints
+from strictq.weyl import _Bluestein, _Chart, _chirp_z, _midpoints
 
 from conftest import random_gaussians, sampled_gaussian
 
@@ -334,16 +339,53 @@ def oracle_gather_table(table, n):
     return table[i[:, None] + i[None, :], i[:, None] - i[None, :] + n - 1]
 
 
+def table_gather_kernel(f, hbar, qgrid):
+    """The kernel through the (2n-1) x (2n-1) midpoint/separation table.
+
+    Row a of the table holds the midpoint (q_i + q_j)/2 with i + j = a; it
+    is transformed onto the separations d >= 0 (the real part at d = 0),
+    mirrored by conjugation onto d < 0 and gathered by fancy indexing.
+    """
+    paxis = f.grid.paxis
+    n = qgrid.n
+    dq, dp = qgrid.delta, paxis.delta
+    p = paxis.points
+    fmid = np.asarray(f.symbol(_midpoints(qgrid)[:, None], p[None, :]), dtype=complex)
+    seps = (np.arange(2 * n - 1) - (n - 1)) * dq
+    top = np.flatnonzero(np.abs(seps) <= np.pi * hbar / dp)[-1] - (n - 1)
+    c = paxis.n // 2
+    s = np.arange(top + 1)
+    post = np.exp(1j * p[c] * dq / hbar * s) * (dp / (2.0 * np.pi * hbar))
+    plan = _Bluestein(dp * dq / hbar, np.arange(paxis.n) - c, s, 1.0, post)
+    table = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    right, left = table[:, n - 1:n + top], table[:, n - 1 - top:n - 1][:, ::-1]
+    _chirp_z(plan, fmid.real, right)
+    right[:, 0] = right[:, 0].real
+    np.conjugate(right[:, 1:], out=left)
+    if fmid.imag.any():
+        half = np.empty_like(right)
+        _chirp_z(plan, fmid.imag, half)
+        half[:, 0] = half[:, 0].real
+        right += 1j * half
+        left += 1j * half[:, 1:].conj()
+    return oracle_gather_table(table, n)
+
+
 @pytest.mark.parametrize("n", [2, 7, 8, 193])
 def test_gather_table_matches_fancy_index_oracle(n):
-    rng = np.random.default_rng(n)
-    table = rng.standard_normal((2 * n - 1, 2 * n - 1, 2)).view(complex)[..., 0]
-    got = _gather_table(table, n)
-    assert np.array_equal(got, oracle_gather_table(table, n))
-    assert got.flags.c_contiguous and got.flags.writeable
-    assert not np.shares_memory(got, table)
-    # any strided table, e.g. a transposed view, is read the same way
-    assert np.array_equal(_gather_table(table.T, n), oracle_gather_table(table.T, n))
+    # the kernel build writes each midpoint row straight onto its
+    # anti-diagonal; entry for entry it is the table gather, at a band that
+    # holds every separation, at a clipped band and at the aliasing floor,
+    # for real and complex symbols
+    qgrid = Grid1D(-6.0, 6.0, n)
+    grid = Grid2D(qgrid, Grid1D(-5.0, 7.0, n + 5))
+    floor = hbar_floor(qgrid, grid.paxis)
+    field = gaussian_field(GaussianObservable(0.4, -0.2, 0.7, 0.5))
+    for f in (sample(field, grid), sample(field * (1.0 - 0.5j), grid)):
+        for hbar in (floor, 7.3 * floor, max(2.0, 3.0 * floor)):
+            got = weyl_kernel(f, hbar, qgrid).matrix
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got, table_gather_kernel(f, hbar, qgrid))
 
 
 def dense_kernel_matrix(f, hbar, qgrid):
@@ -505,6 +547,227 @@ def test_dequantize_truncated_kernel_raises(n, ratio):
         dequantize(kernel)
     assert str(err.value) == (f"kernel anti-diagonals truncated at relative magnitude {ratio}; "
                               "enlarge the position box")
+
+
+# ------------------------------------------- trimmed shifts against full range
+
+def full_range_dequantize(kernel, pgrid):
+    """Dequantization that reads every row at all 4n - 3 quarter-cell shifts.
+
+    The chart is read over the whole run |u| <= 2(n-1) for every row, the
+    shifts whose anti-diagonal leaves the matrix (|u| > 4 mu_i) are zeroed
+    and all of them go to the momentum transform; the truncation probe and
+    the band-edge warning are those of :func:`dequantize`.
+    """
+    n = kernel.grid.n
+    dq = kernel.grid.delta
+    hbar = kernel.hbar
+    p = pgrid.paxis.points
+    band = np.pi * hbar / dq
+    inside = np.abs(p) <= band
+    m = 2 * (n - 1)
+    sep = np.arange(-m, m + 1)
+    cols = np.flatnonzero(inside)
+    r = (cols[0] + cols[-1]) // 2
+    pre = np.exp(-1j * p[r] * dq / (2.0 * hbar) * sep)
+    values = np.zeros((n, pgrid.paxis.n), dtype=complex)
+    block = values[:, cols[0]:cols[-1] + 1]
+    mu = np.minimum(np.arange(n), n - 1 - np.arange(n))
+    a = _Chart(kernel.matrix, dq).diagonals(0.0, dq / 4.0, sep)
+    a[np.abs(sep) > 4 * mu[:, None]] = 0.0
+    scale = np.max(np.abs(a))
+    to_momenta = _Bluestein(-dq * pgrid.paxis.delta / (2.0 * hbar), sep, cols - r, pre, dq / 2.0)
+    _chirp_z(to_momenta, a, block)
+    if scale > 0.0:
+        interior = mu >= n // 4
+        i, w = np.arange(n)[interior], mu[interior]
+        edge = max(np.abs(kernel.matrix[i - w, i + w]).max(),
+                   np.abs(kernel.matrix[i + w, i - w]).max())
+        if edge > 1e-5 * scale:
+            raise AccuracyError(
+                f"kernel anti-diagonals truncated at relative magnitude {edge / scale:.2e}; "
+                "enlarge the position box"
+            )
+    warnings = list(kernel.warnings)
+    if not inside.all():
+        vmax = np.max(np.abs(block))
+        if vmax > 0 and np.max(np.abs(block[:, [0, -1]])) > weyl.BAND_EDGE_TOL * vmax:
+            warnings.append(f"symbol content at the resolved momentum band edge |p| = {band:g}")
+    return values, tuple(warnings)
+
+
+def outcome(fn, *args):
+    """``("ok", result)`` or ``("raised", type, message)``."""
+    try:
+        return "ok", fn(*args)
+    except (AccuracyError, AliasingError) as err:
+        return "raised", type(err), str(err)
+
+
+@settings(max_examples=14)
+@given(n=st.integers(64, 260), n_p=st.integers(64, 260), half=st.floats(5.0, 9.0),
+       level=st.floats(0.0, 1.0), center=st.floats(-1.0, 1.0),
+       widths=st.tuples(st.floats(0.4, 1.2), st.floats(0.4, 1.2)))
+@example(n=200, n_p=129, half=6.0, level=1.0, center=0.4, widths=(0.7, 0.5))
+@example(n=201, n_p=200, half=6.0, level=0.5, center=-0.3, widths=(0.6, 0.55))
+@example(n=129, n_p=64, half=8.0, level=0.0, center=0.0, widths=(1.0, 1.0))
+def test_trimmed_dequantize_matches_full_range(n, n_p, half, level, center, widths):
+    # hbar runs log-uniformly from the aliasing floor to 2; at the top the
+    # kernels reach the box edge, where both paths must refuse alike
+    if n_p == n:
+        n_p += 1
+    qgrid = Grid1D(-half, half, n)
+    grid = Grid2D(qgrid, Grid1D(-half, half, n_p))
+    floor = hbar_floor(qgrid, grid.paxis)
+    hbar = floor * (2.0 / floor) ** level
+    obs = GaussianObservable(q0=center, p0=-center, alpha=widths[0], beta=widths[1])
+    kernel = weyl_kernel(sampled_gaussian(obs, grid), hbar, qgrid)
+    got = outcome(dequantize, kernel, grid)
+    want = outcome(full_range_dequantize, kernel, grid)
+    if want[0] == "raised":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    values, warnings = want[1]
+    assert np.max(np.abs(got[1].values - values)) <= 1e-13 * np.max(np.abs(values))
+    assert got[1].warnings == warnings
+
+
+@pytest.mark.parametrize("n", [256, 255])
+def test_trimmed_dequantize_refuses_truncated_kernels_alike(n):
+    kernel = noise_kernel(n, 0.5, 3.0, 0)
+    got = outcome(dequantize, kernel, Grid2D(kernel.grid, kernel.grid))
+    assert got[0] == "raised"
+    assert got == outcome(full_range_dequantize, kernel, Grid2D(kernel.grid, kernel.grid))
+
+
+# ------------------------------------------------------------------ lanes
+
+@pytest.fixture
+def fresh_lanes(monkeypatch):
+    """Lanes whose helper threads start inside the test and stop after it."""
+    monkeypatch.setattr(weyl, "_helpers", None)
+    yield
+    if weyl._helpers is not None:
+        weyl._helpers[1].shutdown(wait=True)
+
+
+def lane_outputs(n):
+    axis = Grid1D(-6.0, 6.0, n)
+    grid = Grid2D(axis, axis)
+    f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), grid)
+    kf = weyl_kernel(f, 1.0, axis)
+    kg = weyl_kernel(sample(gaussian_field(GaussianObservable(-0.3, 0.3, 0.6, 0.55)) * (1.0 + 0.5j),
+                            grid), 1.0, axis)
+    boundary = tangent_boundary_check(canonical_family(f, [1.0, 0.5]))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2 * n - 1, n + 3)) + 1j * rng.standard_normal((2 * n - 1, n + 3))
+    plan = _Bluestein(0.01, np.arange(-n, 3), np.arange(n // 2), np.exp(0.1j * np.arange(n + 3)),
+                      0.5)
+    direct = []
+    for rows in (1, 31, 33, 63, 65, 2 * n - 1):
+        out = np.empty((rows, plan.n_out), dtype=complex)
+        _chirp_z(plan, x[:rows], out)
+        direct.append(out)
+    return [kf.matrix, kg.matrix, dequantize(compose(kf, kg), grid).values,
+            boundary.defects, boundary.raw, *direct]
+
+
+@pytest.mark.parametrize("n", [160, 161])
+def test_results_independent_of_lane_count(monkeypatch, fresh_lanes, n):
+    # every row block goes through the same arithmetic on whichever lane
+    # takes it, and each block exactly once (3 lanes on a short switch
+    # interval); the helper threads run no strictq code but the transforms
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and "strictq" in frame.f_code.co_filename:
+            calls.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_name))
+
+    outputs = {}
+    interval = sys.getswitchinterval()
+    threading.setprofile(profile)
+    sys.setswitchinterval(1e-5)
+    try:
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(weyl, "_LANES", lanes)
+            outputs[lanes] = lane_outputs(n)
+    finally:
+        sys.setswitchinterval(interval)
+        threading.setprofile(None)
+    for lanes in (2, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(outputs[1], outputs[lanes]))
+    assert ("weyl.py", "lane") in calls
+    assert calls <= {("weyl.py", name) for name in
+                     ("lane", "<lambda>", "build", "transform", "__call__", "_scatter")}
+
+
+def test_one_lane_runs_inline(monkeypatch):
+    def no_pool(count):
+        raise AssertionError("one lane must not start helper threads")
+
+    monkeypatch.setattr(weyl, "_LANES", 1)
+    monkeypatch.setattr(weyl, "_helper_pool", no_pool)
+    axis = Grid1D(-6.0, 6.0, 96)
+    f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), Grid2D(axis, axis))
+    dequantize(weyl_kernel(f, 1.0, axis))
+
+
+def test_lane_count_from_affinity_or_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert weyl._lane_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert weyl._lane_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert weyl._lane_count() == 1
+
+
+_IMPORT_SCRIPT = """
+import threading
+import strictq.cli
+from strictq import weyl
+print(threading.active_count(), weyl._LANES)
+"""
+
+
+def test_import_starts_no_thread_and_ignores_thread_setting():
+    # STRICTQ_THREADS is a setting of an earlier CLI pool; the lanes follow
+    # the CPUs alone
+    src = os.path.dirname(os.path.dirname(strictq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, STRICTQ_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["1", str(weyl._lane_count())]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
+def test_forked_child_builds_kernels(monkeypatch, fresh_lanes):
+    # the child of a process whose lanes have run has none of their helper
+    # threads; work queued for them would never run
+    monkeypatch.setattr(weyl, "_LANES", 2)
+    axis = Grid1D(-6.0, 6.0, 96)
+    f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), Grid2D(axis, axis))
+    want = weyl_kernel(f, 1.0, axis).matrix
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(weyl_kernel(f, 1.0, axis).matrix, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its kernel within 60 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ------------------------------------------------------- warning order
