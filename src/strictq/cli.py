@@ -12,6 +12,22 @@ in the config.  The config also embeds the package version and the
 normalization conventions that were fixed against independent oracles,
 so a report is self-describing.
 
+Each subcommand takes only the options it reads, plus ``--out PATH`` and
+``--format {json,csv}``:
+
+- ``axioms``, ``star``: ``--n --box --hbar-start --hbar-ratio --hbar-count
+  --f-spec --g-spec``
+- ``positivity``: ``--n --box --hbar --ratios`` or ``--alphas --betas``
+- ``torus``: ``--n-range --m --k --K --seed``
+- ``landsman``: ``--metric --n --box --hbar-start --hbar-ratio --hbar-count``
+  (``--box`` sizes the flat metric's box; the circle and exp2q grids are
+  fixed)
+- ``groupoid``: ``--n --box --hbar-start --hbar-ratio --hbar-count``
+
+A report's config is the subcommand's options, what it derived from them
+(cells, ``n_values``, ``axiom_labels``, notes, warnings), the version and
+the conventions.
+
 Exit codes: 0 on success, 1 when a numerical pass/fail predicate fails,
 2 on usage errors.
 """
@@ -22,7 +38,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -38,7 +54,7 @@ from . import prequant  # noqa: F401  (importing the CLI loads every layer)
 from . import rotation
 from . import weyl
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 AXIOM_LABELS = {
     0: "dirac",
@@ -48,37 +64,6 @@ AXIOM_LABELS = {
     4: "star_product",
     5: "star_bracket",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Grid, schedule and output options shared by the subcommands."""
-
-    n: int
-    box: float
-    hbar_start: float
-    hbar_ratio: float
-    hbar_count: int
-    seed: int
-    out: str
-    format: str
-
-    def __post_init__(self):
-        if self.n < 2 or self.box <= 0 or self.hbar_start <= 0:
-            raise ValueError("grid and schedule parameters must be positive")
-        if not 0 < self.hbar_ratio < 1:
-            raise ValueError("hbar ratio must lie in (0, 1)")
-        if self.hbar_count < 1:
-            raise ValueError("hbar count must be at least 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-    def grid(self) -> Grid2D:
-        axis = Grid1D(-self.box, self.box, self.n)
-        return Grid2D(axis, axis)
-
-    def schedule(self) -> HbarSchedule:
-        return HbarSchedule(self.hbar_start, self.hbar_ratio, self.hbar_count)
 
 
 def write_report(check: str, config: dict, columns: list, rows: list, path: str,
@@ -117,10 +102,28 @@ def parse_gaussian_spec(spec: str) -> GaussianObservable:
     return GaussianObservable(**kwargs)
 
 
-def _config_dict(cfg: RunConfig, **extra) -> dict:
-    out = asdict(cfg)
-    out.update(extra)
-    return out
+def _grid(args) -> Grid2D:
+    """The square (q, p) grid of ``--n`` points per axis on ``[-box, box)``."""
+    axis = Grid1D(-args.box, args.box, args.n)
+    return Grid2D(axis, axis)
+
+
+def _schedule(args) -> HbarSchedule:
+    return HbarSchedule(args.hbar_start, args.hbar_ratio, args.hbar_count)
+
+
+def _sampled_specs(args):
+    """The ``--f-spec`` and ``--g-spec`` observables sampled on the grid."""
+    grid = _grid(args)
+    return [sample(gaussian_field(parse_gaussian_spec(spec)), grid)
+            for spec in (args.f_spec, args.g_spec)]
+
+
+def _report(args, columns: list, rows: list, **derived) -> None:
+    """Write the subcommand's report; its config is the parsed options plus
+    what the subcommand derived from them."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    write_report(args.command, {**options, **derived}, columns, rows, args.out, args.format)
 
 
 def _exit_code(check: str, failed: list, warnings: list | None = None) -> int:
@@ -134,13 +137,8 @@ def _exit_code(check: str, failed: list, warnings: list | None = None) -> int:
 
 
 def cmd_axioms(args) -> int:
-    cfg = _runconfig(args)
-    f_obs = parse_gaussian_spec(args.f_spec)
-    g_obs = parse_gaussian_spec(args.g_spec)
-    grid = cfg.grid()
-    f = sample(gaussian_field(f_obs), grid)
-    g = sample(gaussian_field(g_obs), grid)
-    reports = asymptotics.axiom_sweep(f, g, cfg.schedule())
+    schedule = _schedule(args)
+    reports = asymptotics.axiom_sweep(*_sampled_specs(args), schedule)
 
     ids = {"dirac": 0, "vonneumann": 1, "norm_limit": 2, "norm_continuity": 3}
     rows, notes, warnings, failed = [], [], [], []
@@ -154,23 +152,17 @@ def cmd_axioms(args) -> int:
             failed.append(AXIOM_LABELS[axiom_id])
     rows.sort(key=lambda r: (r[0], -r[1]))
     warnings = sorted(set(warnings))
-    write_report(
-        "axioms",
-        _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
-                     axiom_labels=AXIOM_LABELS, notes=sorted(set(notes)),
-                     warnings=warnings),
-        ["axiom_id", "hbar", "defect", "classical_ref"],
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, ["axiom_id", "hbar", "defect", "classical_ref"], rows,
+            axiom_labels=AXIOM_LABELS, notes=sorted(set(notes)), warnings=warnings)
     return _exit_code("axioms", failed, warnings)
 
 
 def cmd_positivity(args) -> int:
-    cfg = _runconfig(args)
+    qgrid = Grid1D(-args.box, args.box, args.n)
     hbar = args.hbar
-    if args.alphas is not None or args.betas is not None:
+    if (args.alphas is None) != (args.betas is None):
+        raise ValueError("give both --alphas and --betas, or neither")
+    if args.alphas is not None:
         alphas = _parse_floats(args.alphas)
         betas = _parse_floats(args.betas)
         cells = [(a, b) for a in alphas for b in betas]
@@ -178,7 +170,6 @@ def cmd_positivity(args) -> int:
         ratios = _parse_floats(args.ratios)
         side = [float(np.sqrt(r) * hbar / 2.0) for r in ratios]
         cells = [(a, a) for a in side]
-    qgrid = Grid1D(-cfg.box, cfg.box, cfg.n)
     rows, failed = [], []
     for a, b in cells:
         verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
@@ -186,20 +177,12 @@ def cmd_positivity(args) -> int:
         expected = a * b >= (hbar / 2.0) ** 2 * (1.0 - 1e-12)
         if bool(verdict["positive"]) != expected:
             failed.append(f"threshold at alpha={a:g}, beta={b:g}")
-    write_report(
-        "positivity",
-        _config_dict(cfg, hbar=hbar,
-                     cells=[[a, b] for a, b in cells]),
-        ["alpha", "beta", "hbar", "min_eig", "positive"],
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, ["alpha", "beta", "hbar", "min_eig", "positive"], rows,
+            cells=[[a, b] for a, b in cells])
     return _exit_code("positivity", failed)
 
 
 def cmd_torus(args) -> int:
-    cfg = _runconfig(args)
     m, k = args.m, args.k
     n_values = _parse_int_range(args.n_range)
     K = args.K
@@ -213,7 +196,7 @@ def cmd_torus(args) -> int:
         direct_err = float(np.max(np.abs(defect["direct"] - defect["matrix"])))
         comm = float(np.max(np.abs(
             rep.V @ rep.U - np.exp(2j * np.pi * K / N) * rep.U @ rep.V)))
-        rng = np.random.default_rng(cfg.seed + N)
+        rng = np.random.default_rng(args.seed + N)
         homo = star = 0.0
         for _ in range(3):
             a = _random_element(rng, rep.theta)
@@ -232,14 +215,7 @@ def cmd_torus(args) -> int:
                "homomorphism_err", "involution_err", "commutation_err", "center_err"]
     gates = {4: 1e-12, 5: 1e-12, 6: 1e-12, 7: 1e-12, 8: 1e-13}
     failed = [columns[c] for c, tol in gates.items() if not all(r[c] <= tol for r in rows)]
-    write_report(
-        "torus",
-        _config_dict(cfg, m=m, k=k, K=K, n_values=list(map(int, n_values))),
-        columns,
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, columns, rows, n_values=list(map(int, n_values)))
     return _exit_code("torus", failed)
 
 
@@ -253,14 +229,13 @@ def _random_element(rng, theta):
 
 
 def cmd_landsman(args) -> int:
-    cfg = _runconfig(args)
     name = args.metric
-    schedule, notes = cfg.schedule(), ()
+    schedule, notes = _schedule(args), ()
     seen: dict = {}
     if name == "flat":
         metric = landsman_mod.metric_flat()
-        axis = Grid1D(-cfg.box, cfg.box, cfg.n)
-        grid = Grid2D(axis, axis)
+        grid = _grid(args)
+        axis = grid.qaxis
         obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
         f = sample(gaussian_field(obs), grid)
         fiber = landsman_mod.fiber_fourier(f, metric).fiber
@@ -279,8 +254,8 @@ def cmd_landsman(args) -> int:
         columns = ["hbar", "sup_gap_vs_weyl", "kernel_scale"]
     elif name == "exp2q":
         metric = landsman_mod.metric_exp2q()
-        base = Grid1D(-2.0, 2.0, cfg.n)
-        pax = Grid1D(-12.0, 12.0, cfg.n)
+        base = Grid1D(-2.0, 2.0, args.n)
+        pax = Grid1D(-12.0, 12.0, args.n)
         grid = Grid2D(base, pax)
         gA = GaussianObservable(0.0, -0.2, 0.05, 1.0)
         gB = GaussianObservable(0.1, 0.3, 0.06, 0.9)
@@ -307,8 +282,8 @@ def cmd_landsman(args) -> int:
         columns = ["hbar", "dirac_defect", "weighted_norm_f"]
     else:  # circle
         metric = landsman_mod.metric_circle(1.0)
-        axis = Grid1D(0.0, 1.0, cfg.n)
-        vax = Grid1D(-8.0, 8.0, cfg.n)
+        axis = Grid1D(0.0, 1.0, args.n)
+        vax = Grid1D(-8.0, 8.0, args.n)
 
         def ft(q, v):
             return (1.0 + 0.3 * np.cos(2 * np.pi * np.asarray(q))) * np.exp(
@@ -329,14 +304,7 @@ def cmd_landsman(args) -> int:
             ok = ok and herm <= 1e-10 * max(scale, 1.0)
         columns = ["hbar", "hermiticity_gap", "kernel_scale"]
     warnings = list(tagged_warnings(seen))
-    write_report(
-        "landsman",
-        _config_dict(cfg, metric=name, notes=list(notes), warnings=warnings),
-        columns,
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, columns, rows, notes=list(notes), warnings=warnings)
     return _exit_code("landsman", [] if ok else [f"{name} {columns[1]}"], warnings)
 
 
@@ -347,10 +315,9 @@ def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
 
 
 def cmd_groupoid(args) -> int:
-    cfg = _runconfig(args)
+    schedule = _schedule(args)
     obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
-    f = sample(gaussian_field(obs), cfg.grid())
-    schedule = cfg.schedule()
+    f = sample(gaussian_field(obs), _grid(args))
     rows = []
     wm_ok = True
     seen: dict = {}
@@ -366,26 +333,14 @@ def cmd_groupoid(args) -> int:
     sections = ["wm_correspondence", "tangent_boundary"]
     failed = [s for s, ok in zip(sections, (wm_ok, all(boundary.defects <= 1e-6))) if not ok]
     warnings = sorted(set(tagged_warnings(seen)) | set(boundary.warnings))
-    write_report(
-        "groupoid",
-        _config_dict(cfg, sections=sections, boundary_notes=list(boundary.notes),
-                     warnings=warnings),
-        ["hbar", "defect", "scale_or_raw"],
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, ["hbar", "defect", "scale_or_raw"], rows, sections=sections,
+            boundary_notes=list(boundary.notes), warnings=warnings)
     return _exit_code("groupoid", failed, warnings)
 
 
 def cmd_star(args) -> int:
-    cfg = _runconfig(args)
-    f_obs = parse_gaussian_spec(args.f_spec)
-    g_obs = parse_gaussian_spec(args.g_spec)
-    grid = cfg.grid()
-    f = sample(gaussian_field(f_obs), grid)
-    g = sample(gaussian_field(g_obs), grid)
-    prod_rep, br_rep = asymptotics.check_star_limits(f, g, cfg.schedule())
+    schedule = _schedule(args)
+    prod_rep, br_rep = asymptotics.check_star_limits(*_sampled_specs(args), schedule)
     rows = [
         [hbar, dp, db]
         for hbar, dp, db in zip(prod_rep.hbars, prod_rep.defects, br_rep.defects)
@@ -393,18 +348,10 @@ def cmd_star(args) -> int:
     failed = [label for label, rep in (("product", prod_rep), ("bracket", br_rep))
               if not rep.passes()]
     warnings = sorted(set(prod_rep.warnings))
-    write_report(
-        "star",
-        _config_dict(cfg, f_spec=args.f_spec, g_spec=args.g_spec,
-                     classical_refs={"product": prod_rep.classical_ref,
-                                     "bracket": br_rep.classical_ref},
-                     notes=sorted(set(prod_rep.notes)),
-                     warnings=warnings),
-        ["hbar", "product_defect", "bracket_defect"],
-        rows,
-        cfg.out,
-        cfg.format,
-    )
+    _report(args, ["hbar", "product_defect", "bracket_defect"], rows,
+            classical_refs={"product": prod_rep.classical_ref,
+                            "bracket": br_rep.classical_ref},
+            notes=sorted(set(prod_rep.notes)), warnings=warnings)
     return _exit_code("star", failed, warnings)
 
 
@@ -421,28 +368,20 @@ def _parse_int_range(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _runconfig(args) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        box=args.box,
-        hbar_start=args.hbar_start,
-        hbar_ratio=args.hbar_ratio,
-        hbar_count=args.hbar_count,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
-
-
-def _add_common(parser, n=768, box=6.0, count=7):
+def _add_grid(parser, n=768, box=6.0, box_help="half-width of the (q, p) box"):
     parser.add_argument("--n", type=int, default=n, help="points per axis")
-    parser.add_argument("--box", type=float, default=box, help="half-width of the box")
+    parser.add_argument("--box", type=float, default=box, help=box_help)
+
+
+def _add_schedule(parser, count=7):
     parser.add_argument("--hbar-start", type=float, default=1.0)
     parser.add_argument("--hbar-ratio", type=float, default=0.5)
     parser.add_argument("--hbar-count", type=int, default=count)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="report.json", help="output path")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _add_specs(parser):
+    parser.add_argument("--f-spec", default="gaussian:q0=0.4,p0=-0.2,alpha=0.7,beta=0.5")
+    parser.add_argument("--g-spec", default="gaussian:q0=-0.3,p0=0.3,alpha=0.6,beta=0.55")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,44 +390,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical checks for strict deformation quantization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="report.json", help="output path")
+    output.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("axioms", help="strict-quantization axiom defect tables")
-    _add_common(p)
-    p.add_argument("--f-spec", default="gaussian:q0=0.4,p0=-0.2,alpha=0.7,beta=0.5")
-    p.add_argument("--g-spec", default="gaussian:q0=-0.3,p0=0.3,alpha=0.6,beta=0.55")
-    p.set_defaults(func=cmd_axioms)
+    def command(name, func, summary):
+        # no prefix matching: ``torus --n 64`` must not read as ``--n-range 64``
+        p = sub.add_parser(name, parents=[output], allow_abbrev=False, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("positivity", help="Gaussian positivity threshold scan")
-    _add_common(p, n=512, box=16.0)
+    p = command("axioms", cmd_axioms, "strict-quantization axiom defect tables")
+    _add_grid(p)
+    _add_schedule(p)
+    _add_specs(p)
+
+    p = command("positivity", cmd_positivity, "Gaussian positivity threshold scan")
+    _add_grid(p, n=512, box=16.0, box_help="half-width of the q-axis")
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--alphas", default=None, help="comma list of alpha values")
-    p.add_argument("--betas", default=None, help="comma list of beta values")
+    p.add_argument("--alphas", default=None, help="comma list of alpha values (with --betas)")
+    p.add_argument("--betas", default=None, help="comma list of beta values (with --alphas)")
     p.add_argument("--ratios", default="0.25,0.5,0.75,1.0,1.5,2.0",
                    help="alpha beta / (hbar/2)^2 ratios (alpha = beta)")
-    p.set_defaults(func=cmd_positivity)
 
-    p = sub.add_parser("torus", help="rotation-algebra and fuzzy-torus checks")
-    _add_common(p)
+    p = command("torus", cmd_torus, "rotation-algebra and fuzzy-torus checks")
     p.add_argument("--n-range", default="2:33", help="N range, lo:hi or comma list")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--K", type=int, default=1, help="twist K of the representation")
-    p.set_defaults(func=cmd_torus)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random algebra elements (offset by N)")
 
-    p = sub.add_parser("landsman", help="Riemannian quantization checks")
-    _add_common(p, n=384, box=12.0, count=4)
+    p = command("landsman", cmd_landsman, "Riemannian quantization checks")
     p.add_argument("--metric", choices=["flat", "circle", "exp2q"], required=True)
-    p.set_defaults(func=cmd_landsman)
+    _add_grid(p, n=384, box=12.0,
+              box_help="half-width of the flat metric's box (the circle and exp2q "
+                       "grids are fixed)")
+    _add_schedule(p, count=4)
 
-    p = sub.add_parser("groupoid", help="semidirect correspondence and boundary checks")
-    _add_common(p, n=384, box=12.0, count=4)
-    p.set_defaults(func=cmd_groupoid)
+    p = command("groupoid", cmd_groupoid, "semidirect correspondence and boundary checks")
+    _add_grid(p, n=384, box=12.0)
+    _add_schedule(p, count=4)
 
-    p = sub.add_parser("star", help="star-product limit defect tables")
-    _add_common(p)
-    p.add_argument("--f-spec", default="gaussian:q0=0.4,p0=-0.2,alpha=0.7,beta=0.5")
-    p.add_argument("--g-spec", default="gaussian:q0=-0.3,p0=0.3,alpha=0.6,beta=0.55")
-    p.set_defaults(func=cmd_star)
+    p = command("star", cmd_star, "star-product limit defect tables")
+    _add_grid(p)
+    _add_schedule(p)
+    _add_specs(p)
 
     return parser
 

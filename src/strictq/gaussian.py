@@ -101,6 +101,8 @@ def chi_vector(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> WaveFunctio
 
     ``|chi|^2`` integrates to ``2 sqrt(alpha beta) / hbar``.
     """
+    if not hbar > 0:
+        raise ValueError(f"need hbar > 0, got {hbar}")
     q = qgrid.points
     values = (
         (2.0 * g.beta / (np.pi * hbar**2)) ** 0.25
@@ -114,6 +116,8 @@ def psi_sigma_vector(
     g: GaussianObservable, sigma: float, hbar: float, qgrid: Grid1D
 ) -> WaveFunction:
     """Probe state exhibiting negative expectations below threshold."""
+    if not hbar > 0:
+        raise ValueError(f"need hbar > 0, got {hbar}")
     q = qgrid.points
     values = (
         (q - g.q0)
@@ -139,6 +143,8 @@ def positivity_intermediates(
     g: GaussianObservable, sigma: float, hbar: float
 ) -> PositivityIntermediates:
     """Theta and D for the given probe width (D != 0 enforced)."""
+    if not hbar > 0:
+        raise ValueError(f"need hbar > 0, got {hbar}")
     theta = (4.0 * g.alpha * g.beta / hbar**2 - 1.0) / (4.0 * g.alpha)
     a = 1.0 / sigma + 1.0 / (2.0 * g.alpha)
     dee = a * (a + 2.0 * theta)

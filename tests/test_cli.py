@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import strictq.cli
-from strictq.cli import main, parse_gaussian_spec
+from strictq.cli import build_parser, main, parse_gaussian_spec
 
 
 def run(args):
@@ -47,6 +48,69 @@ def test_non_coprime_torus_rejected(tmp_path):
     assert code == 2
 
 
+# ------------------------------------------------------------------ options
+
+# one tiny run per subcommand (landsman once per metric) that reads options
+NO_OP_RUNS = {
+    "axioms": [["--n", "64", "--hbar-count", "1"]],
+    "star": [["--n", "64", "--hbar-count", "1"]],
+    "positivity": [["--n", "64", "--ratios", "1.0"]],
+    "torus": [["--n-range", "2:3"]],
+    "landsman": [["--metric", metric, "--n", "64"] for metric in ("flat", "circle", "exp2q")],
+    "groupoid": [["--n", "96", "--box", "4", "--hbar-count", "2"]],
+}
+
+
+def subcommand_options():
+    """``{subcommand: {option string: dest}}`` over ``build_parser()``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s: a.dest for a in p._actions if a.dest != "help" for s in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_subcommands_cover_no_op_runs():
+    assert set(subcommand_options()) == set(NO_OP_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(NO_OP_RUNS))
+def test_no_option_is_a_no_op(command, tmp_path, capsys):
+    # every option a subcommand declares is read by its cmd_* (the report
+    # config copies the parsed options without reading them one by one) ...
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("_"):
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    options = subcommand_options()
+    for argv in NO_OP_RUNS[command]:
+        args = build_parser().parse_args([command, *argv, "--out", str(tmp_path / "r.json")])
+        args.func(Recorder(**vars(args)))
+    assert set(options[command].values()) - reads == set()
+    # ... and every option of another subcommand is refused, prefixes included
+    foreign = set().union(*options.values()) - set(options[command])
+    for option in sorted(foreign):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, *NO_OP_RUNS[command][0], option, "1"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value,reason", [
+    ("--n", "1", "need n >= 2, got n=1"),
+    ("--box", "0", "need hi > lo, got [-0.0, 0.0]"),
+    ("--hbar-start", "0", "need start > 0, got 0.0"),
+    ("--hbar-ratio", "1.5", "need ratio in (0, 1), got 1.5"),
+])
+def test_bad_grid_or_schedule_exits_2(tmp_path, capsys, option, value, reason):
+    out = tmp_path / "ax.json"
+    assert run(["axioms", option, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"strictq: {reason}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ reports
 
 def test_positivity_report_and_schema(tmp_path, capsys):
@@ -82,6 +146,23 @@ def test_positivity_empty_range(tmp_path):
     code = run(["positivity", "--alphas", "", "--betas", "", "--out", str(out)])
     assert code == 0
     assert read_json(out)["rows"] == []
+
+
+@pytest.mark.parametrize("given", ["--alphas", "--betas"])
+def test_positivity_one_sided_grid_exits_2(tmp_path, capsys, given):
+    out = tmp_path / "pos.json"
+    assert run(["positivity", given, "0.5,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "strictq: give both --alphas and --betas, or neither\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hbar", ["0", "-1"])
+def test_positivity_nonpositive_hbar_exits_2(tmp_path, capsys, hbar):
+    out = tmp_path / "pos.json"
+    assert run(["positivity", "--hbar", hbar, "--alphas", "1", "--betas", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"strictq: need hbar > 0, got {float(hbar)}\n"
+    assert not out.exists()
 
 
 def test_positivity_single_threshold_point(tmp_path):
@@ -136,7 +217,7 @@ def test_csv_mirrors_columns_rows(tmp_path):
 
 
 def test_reports_bit_identical(tmp_path):
-    # same RunConfig (the output path is part of the config, so reuse it)
+    # same options (the output path is part of the config, so reuse it)
     out = tmp_path / "a.json"
     args = ["torus", "--n-range", "2:6", "--seed", "7", "--out", str(out)]
     assert run(args) == 0

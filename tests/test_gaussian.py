@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from strictq.cli import _runconfig, build_parser, parse_gaussian_spec
-from strictq.core import Grid1D
+from strictq.cli import _grid, build_parser, parse_gaussian_spec
+from strictq.core import Grid1D, Grid2D
 from strictq.gaussian import (
     DegenerateParameterError,
     GaussianObservable,
@@ -16,7 +18,7 @@ from strictq.gaussian import (
     positivity_verdict,
     psi_sigma_vector,
 )
-from strictq.weyl import op_norm, weyl_kernel
+from strictq.weyl import op_norm, star_product, weyl_kernel
 
 from conftest import sampled_gaussian
 
@@ -131,6 +133,19 @@ def test_expectation_degenerate_parameters():
         expectation_closed_form(g, bad_sigma, 1.0)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -0.5])
+def test_nonpositive_hbar_refused(hbar):
+    # the packet and Theta divide by hbar^2, the probe by hbar: hbar = 0
+    # must not reach them
+    g = GaussianObservable()
+    for call in (lambda: chi_vector(g, hbar, QGRID),
+                 lambda: psi_sigma_vector(g, 1.0, hbar, QGRID),
+                 lambda: positivity_intermediates(g, 1.0, hbar),
+                 lambda: positivity_verdict(g, hbar, QGRID)):
+        with pytest.raises(ValueError, match=f"need hbar > 0, got {hbar}"):
+            call()
+
+
 def test_psi_sigma_orthogonal_to_packet():
     # phase-matched pairing: the packet the projector ranges over is conj(chi),
     # so <conj chi, psi_sigma> = int chi psi_sigma has an odd real integrand
@@ -172,7 +187,7 @@ def default_observables(command):
     """The default ``strictq axioms`` observables and the default grid of ``command``."""
     args = build_parser().parse_args([command])
     axioms = build_parser().parse_args(["axioms"])
-    return [parse_gaussian_spec(s) for s in (axioms.f_spec, axioms.g_spec)], _runconfig(args).grid()
+    return [parse_gaussian_spec(s) for s in (axioms.f_spec, axioms.g_spec)], _grid(args)
 
 
 def mehler_u(g, hbar):
@@ -202,3 +217,60 @@ def test_positivity_verdict_meets_mehler_closed_form(hbar):
         assert verdict["positive"] is bool(u <= 1.0)
         if u > 1.0:
             assert abs(verdict["min_eigenvalue"] - 2.0 * (1.0 - u) / (1.0 + u) ** 2) <= 1e-12
+
+
+# --------------------------------------------------------- Moyal closed form
+
+def moyal_product(f, g, hbar, grid):
+    """Exact Moyal product of two Gaussian observables on the points of ``grid``.
+
+    (f * g)(z) = (pi hbar)^-2 int int f(z + a) g(z + b)
+    exp((2i/hbar)(a_q b_p - a_p b_q)) da db is one Gaussian integral over
+    u = (a, b) in R^4, int exp(-u.M u/2 - w.u) du = (2 pi)^2 det(M)^(-1/2)
+    exp(w.M^-1 w/2), with a complex symmetric M independent of z.
+    """
+    widths = np.array([1.0 / f.alpha, 1.0 / f.beta, 1.0 / g.alpha, 1.0 / g.beta])
+    m = np.diag(widths).astype(complex)
+    m[0, 3] = m[3, 0] = -2j / hbar
+    m[1, 2] = m[2, 1] = 2j / hbar
+    qq, pp = grid.meshes()
+    d = np.stack([qq - f.q0, pp - f.p0, qq - g.q0, pp - g.p0]).reshape(4, -1)
+    w = widths[:, None] * d
+    exponent = 0.5 * np.sum(w * np.linalg.solve(m, w), axis=0) - 0.5 * np.sum(w * d, axis=0)
+    values = 16.0 / (hbar**2 * np.sqrt(np.linalg.det(m))) * np.exp(exponent)
+    return values.reshape(qq.shape)
+
+
+def star_gaps(f, g, hbar, grid):
+    """Sup gaps of ``star_product`` to the exact f * g, relative, and of its
+    bracket 2 Im(f * g)/hbar (the rows' star commutator for real f, g),
+    relative to max(sup of the exact bracket, 1): f = g has none."""
+    exact = moyal_product(f, g, hbar, grid)
+    got = star_product(sampled_gaussian(f, grid), sampled_gaussian(g, grid), hbar).values
+    bracket, bracket_exact = 2.0 * got.imag / hbar, 2.0 * exact.imag / hbar
+    return (np.max(np.abs(got - exact)) / np.max(np.abs(exact)),
+            np.max(np.abs(bracket - bracket_exact)) / max(np.max(np.abs(bracket_exact)), 1.0))
+
+
+@pytest.mark.parametrize("hbar", [0.25, 1.0 / 16])
+def test_star_product_meets_moyal_closed_form(hbar):
+    # on the default axioms grid; at hbar = 1 and 1/64 the box and the band
+    # edge cost about 1e-7, which the closed form exposes but this test omits
+    (f, g), grid = default_observables("axioms")
+    product_gap, bracket_gap = star_gaps(f, g, hbar, grid)
+    assert product_gap <= 1e-13
+    assert bracket_gap <= 1e-12
+
+
+moyal_gaussians = st.builds(GaussianObservable, q0=st.floats(-0.5, 0.5),
+                            p0=st.floats(-0.5, 0.5), alpha=st.floats(0.4, 0.7),
+                            beta=st.floats(0.4, 0.7))
+
+
+@settings(max_examples=40)
+@given(f=moyal_gaussians, g=moyal_gaussians, hbar=st.floats(0.125, 0.25))
+def test_star_product_meets_moyal_closed_form_random(f, g, hbar):
+    axis = Grid1D(-6.0, 6.0, 256)
+    product_gap, bracket_gap = star_gaps(f, g, hbar, Grid2D(axis, axis))
+    assert product_gap <= 1e-12
+    assert bracket_gap <= 1e-11
