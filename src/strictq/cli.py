@@ -168,6 +168,9 @@ def cmd_positivity(args) -> int:
         cells = [(a, b) for a in alphas for b in betas]
     else:
         ratios = _parse_floats(args.ratios)
+        for r in ratios:
+            if not (np.isfinite(r) and r > 0):
+                raise ValueError(f"need every --ratios value finite and > 0, got {r}")
         side = [float(np.sqrt(r) * hbar / 2.0) for r in ratios]
         cells = [(a, a) for a in side]
     rows, failed = [], []

@@ -62,6 +62,7 @@ from .core import (
     SampledFunction,
     boundary_decay,
     conjugate_grid,
+    fourier_fiber,
     record_warnings,
     shift_factors,
     tagged_warnings,
@@ -147,10 +148,10 @@ def deformed_convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunct
                 warnings.add(f"{name} has weak {ax_name}-boundary decay {decay:.1e}")
 
     gx = np.fft.fft(g.values, axis=0)
-    kx = 2.0 * np.pi * np.fft.fftfreq(xaxis.n, d=xaxis.delta)[:, None]
+    factors = shift_factors(xaxis.n, xaxis.delta, eps * z)
     out = np.zeros_like(f.values, dtype=complex)
     for k, zk in enumerate(z):
-        shifted = np.fft.ifft(gx * np.exp(1j * kx * (eps * zk)), axis=0)
+        shifted = np.fft.ifft(gx * factors[:, k, None], axis=0)
         shifted = trig_shift(shifted, 1, -zk, yaxis.delta)
         out += f.values[:, k, None] * shifted
     out *= yaxis.delta
@@ -294,8 +295,6 @@ class KernelFamily:
 
 def canonical_family(f: SampledFunction, hbars) -> KernelFamily:
     """The Weyl family of f together with its fiber transform as limit symbol."""
-    from .core import fourier_fiber
-
     hbars = np.asarray(sorted(hbars, reverse=True), dtype=float)
     kernels = tuple(weyl_kernel(f, h, f.grid.qaxis) for h in hbars)
     return KernelFamily(hbars=hbars, kernels=kernels, boundary_symbol=fourier_fiber(f))

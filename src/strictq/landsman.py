@@ -75,10 +75,10 @@ class Metric1D:
     """A 1-D Riemannian metric g(q) dq^2 with its arclength chart.
 
     ``domain`` is ``'line'`` (arclength range may still be bounded, as for
-    g = e^{2q}), ``'interval'`` or ``'circle'``.  Closed-form arclength
-    ``s`` and inverse ``s_inv`` may be supplied; otherwise they are built
-    numerically (per-cell Gauss-Legendre accumulation plus Newton
-    inversion) on ``[lo, hi]``.
+    g = e^{2q}) or ``'circle'``.  Closed-form arclength ``s`` and inverse
+    ``s_inv`` may be supplied; otherwise they are built numerically
+    (per-cell Gauss-Legendre accumulation plus Newton inversion) on
+    ``[lo, hi]``.
     """
 
     g: object
@@ -91,7 +91,7 @@ class Metric1D:
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.domain not in ("line", "interval", "circle"):
+        if self.domain not in ("line", "circle"):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == "circle" and not self.circumference > 0:
             raise ValueError("circle metrics need a positive circumference")
@@ -308,8 +308,7 @@ def hbar_admissible(fsym: FiberSymbol, metric: Metric1D) -> float:
     """Largest hbar for which the support of ft maps inside the chart.
 
     On a circle the bound keeps geodesics within half the circumference;
-    on the line/interval it keeps them inside the arclength range of the
-    base grid.
+    on the line it keeps them inside the arclength range of the base grid.
     """
     R = fsym.support_radius
     base = fsym.base.points

@@ -73,26 +73,27 @@ of a dense O(n^3) phase product:
 * rows are transformed in blocks of ``_CZT_BLOCK`` rows, the tasks of
   the lanes.
 
-Lanes.  The blocks of one transform run at the same time on a process-wide
-set of lanes, one per CPU in the process's affinity set: the calling
-thread and helper threads that are started on first use (importing starts
-none, and a forked child starts its own).  A lane takes whole blocks: the
-pre-chirp multiply, the padded FFT, the spectrum multiply, the inverse FFT
-and the post-chirp write into the block's rows of the output (for the
-kernel build, onto the rows' anti-diagonals), all inside a workspace that
-the caller allocates once per transform.  The task height
-is a constant and each block's arithmetic involves its own rows alone, so
-every row is computed by the same operations whichever lane takes it and
-however many lanes there are: results are bit-identical for every lane
-count.  The kernel build, dequantization and the tangent-boundary check
-all reach the lanes through :func:`_on_lanes`.
+Lanes.  The blocks of one transform run at the same time on its lanes, one
+per CPU in the process's affinity set: the calling thread and helper
+threads that are started and joined inside the transform.  So importing
+starts no thread, none outlives a transform, and a forked child needs no
+reset.  A lane takes whole blocks: the pre-chirp multiply, the padded FFT,
+the spectrum multiply, the inverse FFT and the post-chirp write into the
+block's rows of the output (for the kernel build, onto the rows'
+anti-diagonals), all inside a workspace that the caller allocates once per
+transform.  The task height is a constant and each block's arithmetic
+involves its own rows alone, so every row is computed by the same
+operations whichever lane takes it and however many lanes there are:
+results are bit-identical for every lane count.  The kernel build,
+dequantization and the tangent-boundary check all reach the lanes through
+:func:`_on_lanes`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,40 +148,16 @@ def _lane_count() -> int:
 #: Chirp-z row blocks run on this many lanes at once, one per usable CPU.
 _LANES = _lane_count()
 
-# the helper threads of the lanes beyond the caller's own, as (count,
-# executor): made on first use, so importing starts no thread, and dropped
-# in a forked child, which has none of its parent's threads
-_helpers = None
-_helpers_lock = threading.Lock()
-
-
-def _drop_helpers():
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helpers)
-
-
-def _helper_pool(count: int) -> ThreadPoolExecutor:
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None or _helpers[0] != count:
-            if _helpers is not None:
-                _helpers[1].shutdown(wait=False)
-            _helpers = (count, ThreadPoolExecutor(count, thread_name_prefix="strictq-lane"))
-        return _helpers[1]
-
 
 def _on_lanes(n_rows: int, width: int, task) -> None:
     """Run ``task(rows, work)`` once for every block of ``_CZT_BLOCK`` rows.
 
-    The calling thread is one lane and ``_LANES - 1`` helper threads are
-    the others; each lane takes the next untaken block until none is left.
-    ``work`` is the lane's own workspace of ``_CZT_BLOCK * width`` complex
-    entries.  All workspaces are allocated here, in the calling thread:
-    large temporaries made on the helpers would stay with their threads'
+    The calling thread is one lane and up to ``_LANES - 1`` helper threads,
+    started for this call and joined before it returns, are the others;
+    each lane takes the next untaken block until none is left.  ``work``
+    is the lane's own workspace of ``_CZT_BLOCK * width`` complex entries.
+    All workspaces are allocated here, in the calling thread: large
+    temporaries made on the helpers would stay with their threads'
     allocator arenas and raise the peak resident memory of the process.
     """
     starts = range(0, n_rows, _CZT_BLOCK)
@@ -200,11 +177,9 @@ def _on_lanes(n_rows: int, width: int, task) -> None:
     if lanes <= 1:
         lane(0)
         return
-    helpers = [_helper_pool(_LANES - 1).submit(lane, k) for k in range(1, lanes)]
-    try:
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="strictq-lane") as pool:
+        helpers = [pool.submit(lane, k) for k in range(1, lanes)]
         lane(0)
-    finally:
-        wait(helpers)
     for done in helpers:
         done.result()
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ def test_positivity_nonpositive_hbar_exits_2(tmp_path, capsys, hbar):
     assert run(["positivity", "--hbar", hbar, "--alphas", "1", "--betas", "1",
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"strictq: need hbar > 0, got {float(hbar)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["-1", "0", "nan"])
+def test_positivity_nonpositive_ratio_exits_2(tmp_path, capsys, ratio):
+    out = tmp_path / "pos.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(["positivity", f"--ratios={ratio}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"strictq: need every --ratios value finite and > 0, got {float(ratio)}\n")
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from strictq.core import (
     fourier_fiber,
     sample,
     shift_factors,
+    trig_shift,
 )
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import (
@@ -104,6 +105,23 @@ def test_convolve_requires_matching_eps():
     g = gfun(gauss2(0.0, 0.0), 0.5)
     with pytest.raises(ValueError):
         deformed_convolve(f, g)
+
+
+def test_convolve_splits_even_n_nyquist_like_trig_shift():
+    # g is the x-Nyquist mode of an even-n grid: the x-shift must split it by
+    # cosine (CONVENTIONS["even_n_nyquist"]), so real inputs convolve to real
+    # values; oracle: two trig_shift reads per z-sample
+    xaxis, yaxis = Grid1D(-4.0, 4.0, 16), Grid1D(-4.0, 4.0, 32)
+    grid = Grid2D(xaxis, yaxis)
+    eps = 0.3
+    x, y = np.meshgrid(xaxis.points, yaxis.points, indexing="ij")
+    f = GroupoidFunction(grid=grid, values=np.exp(-x ** 2 - y ** 2), epsilon=eps)
+    g = GroupoidFunction(grid=grid, values=(-1.0) ** np.arange(16)[:, None] * np.exp(-y ** 2),
+                         epsilon=eps)
+    oracle = sum(f.values[:, k, None] * trig_shift(trig_shift(g.values, 0, eps * zk, xaxis.delta),
+                                                   1, -zk, yaxis.delta)
+                 for k, zk in enumerate(yaxis.points)) * yaxis.delta
+    assert np.max(np.abs(deformed_convolve(f, g).values - oracle)) <= 1e-12
 
 
 # ------------------------------------------------------------ representation

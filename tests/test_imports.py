@@ -1,10 +1,13 @@
-"""No module of the package or of the tests imports a name that it never uses.
+"""No module of the package or of the tests imports a name that it never uses,
+and no function of the package imports anything.
 
 Each ``src/strictq/*.py`` and ``tests/*.py`` file is parsed with ``ast``.
 A name bound by an import counts as used when the file reads it anywhere
 (alone or as the root of an attribute chain) or lists it in ``__all__``;
 ``from __future__`` imports are exempt, and so is an import made for its
-side effect, marked ``# noqa: F401`` on its line with the reason.
+side effect, marked ``# noqa: F401`` on its line with the reason.  The
+package imports at module level only, so a module's dependencies are
+read off its head.
 """
 
 import ast
@@ -13,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "strictq").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "strictq").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,6 +41,16 @@ def unused_imports(source: str) -> list:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def function_imports(source: str) -> list:
+    """``function (line n)`` for every import inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{node.name} (line {inner.lineno})" for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return found
+
+
 def test_scanner_on_known_source():
     source = (
         "from __future__ import annotations\n"
@@ -50,8 +64,14 @@ def test_scanner_on_known_source():
         "    return os.path.join('a', 'b')\n"
     )
     assert unused_imports(source) == ["js (line 3)", "euler (line 5)", "tau (line 8)"]
+    assert function_imports(source) == ["f (line 8)"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []

@@ -63,6 +63,12 @@ def test_fiber_fourier_metric_scaling():
     assert np.max(np.abs(b.values - a.values / 2.0)) < 1e-14
 
 
+def test_metric_domain_is_line_or_circle():
+    with pytest.raises(ValueError, match="unknown domain 'interval'"):
+        Metric1D(g=lambda q: np.ones_like(np.asarray(q, dtype=float)), domain="interval",
+                 s=lambda q: q, s_inv=lambda s: s)
+
+
 def whole_grid_then_masked(fsym, q, v):
     """The evaluation the support restriction must reproduce: every point, then np.where."""
     q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))

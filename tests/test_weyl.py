@@ -643,15 +643,6 @@ def test_trimmed_dequantize_refuses_truncated_kernels_alike(n):
 
 # ------------------------------------------------------------------ lanes
 
-@pytest.fixture
-def fresh_lanes(monkeypatch):
-    """Lanes whose helper threads start inside the test and stop after it."""
-    monkeypatch.setattr(weyl, "_helpers", None)
-    yield
-    if weyl._helpers is not None:
-        weyl._helpers[1].shutdown(wait=True)
-
-
 def lane_outputs(n):
     axis = Grid1D(-6.0, 6.0, n)
     grid = Grid2D(axis, axis)
@@ -674,7 +665,7 @@ def lane_outputs(n):
 
 
 @pytest.mark.parametrize("n", [160, 161])
-def test_results_independent_of_lane_count(monkeypatch, fresh_lanes, n):
+def test_results_independent_of_lane_count(monkeypatch, n):
     # every row block goes through the same arithmetic on whichever lane
     # takes it, and each block exactly once (3 lanes on a short switch
     # interval); the helper threads run no strictq code but the transforms
@@ -703,14 +694,22 @@ def test_results_independent_of_lane_count(monkeypatch, fresh_lanes, n):
 
 
 def test_one_lane_runs_inline(monkeypatch):
-    def no_pool(count):
+    def no_pool(*args, **kwargs):
         raise AssertionError("one lane must not start helper threads")
 
     monkeypatch.setattr(weyl, "_LANES", 1)
-    monkeypatch.setattr(weyl, "_helper_pool", no_pool)
+    monkeypatch.setattr(weyl, "ThreadPoolExecutor", no_pool)
     axis = Grid1D(-6.0, 6.0, 96)
     f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), Grid2D(axis, axis))
     dequantize(weyl_kernel(f, 1.0, axis))
+
+
+def test_no_lane_thread_outlives_a_transform(monkeypatch):
+    monkeypatch.setattr(weyl, "_LANES", 2)
+    axis = Grid1D(-6.0, 6.0, 160)
+    f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), Grid2D(axis, axis))
+    dequantize(weyl_kernel(f, 1.0, axis))
+    assert [t.name for t in threading.enumerate() if t.name.startswith("strictq-lane")] == []
 
 
 def test_lane_count_from_affinity_or_cpu_count(monkeypatch):
@@ -743,7 +742,7 @@ def test_import_starts_no_thread_and_ignores_thread_setting():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
-def test_forked_child_builds_kernels(monkeypatch, fresh_lanes):
+def test_forked_child_builds_kernels(monkeypatch):
     # the child of a process whose lanes have run has none of their helper
     # threads; work queued for them would never run
     monkeypatch.setattr(weyl, "_LANES", 2)
