@@ -160,6 +160,8 @@ def cmd_axioms(args) -> int:
 def cmd_positivity(args) -> int:
     qgrid = Grid1D(-args.box, args.box, args.n)
     hbar = args.hbar
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"need --hbar finite and > 0, got {hbar}")
     if (args.alphas is None) != (args.betas is None):
         raise ValueError("give both --alphas and --betas, or neither")
     if args.alphas is not None:
@@ -188,6 +190,8 @@ def cmd_positivity(args) -> int:
 def cmd_torus(args) -> int:
     m, k = args.m, args.k
     n_values = _parse_int_range(args.n_range)
+    if not n_values:
+        raise ValueError(f"--n-range {args.n_range!r} holds no N")
     K = args.K
     for N in n_values:
         if gcd(K, N) != 1:

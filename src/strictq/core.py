@@ -1,4 +1,4 @@
-"""Grids, quadrature, fiberwise Fourier transforms and the canonical bracket.
+"""Grids, quadrature, fiberwise Fourier transforms and trigonometric shifts.
 
 All numerical modules share the conventions fixed here, so they are worth
 spelling out once.
@@ -27,12 +27,12 @@ Fiber Fourier transform
     midpoint grid, for the interval ``[-(n+1) dv/2, (n-1) dv/2)``.  With
     this pairing the forward/inverse round trip is exact to rounding.
 
-Derivatives
-    Partial derivatives are spectral: FFT, multiply by ``(i k)``, inverse
-    FFT.  This silently assumes periodicity, which is harmless exactly
-    when the sampled function has decayed below tolerance at the box
-    edge; callers are expected to size their boxes accordingly (the
-    sampling helpers measure boundary decay and attach warnings).
+Shifts
+    Shifts are spectral: FFT, multiply by ``e^{i k s}``, inverse FFT.
+    This silently assumes periodicity, which is harmless exactly when the
+    sampled function has decayed below tolerance at the box edge; callers
+    are expected to size their boxes accordingly (the sampling helpers
+    measure boundary decay and attach warnings).
 """
 
 from __future__ import annotations
@@ -52,10 +52,7 @@ __all__ = [
     "sample",
     "quadrature",
     "fourier_fiber",
-    "inverse_fourier_fiber",
     "conjugate_grid",
-    "spectral_derivative",
-    "poisson_bracket",
     "shift_factors",
     "trig_shift",
     "boundary_decay",
@@ -291,54 +288,8 @@ def fourier_fiber(f: SampledFunction) -> SampledFunction:
     return SampledFunction(grid=grid, values=out, symbol=None, warnings=tuple(warnings))
 
 
-def inverse_fourier_fiber(ft: SampledFunction, paxis: Grid1D) -> SampledFunction:
-    """Invert :func:`fourier_fiber` back onto the given momentum axis."""
-    if not isinstance(ft.grid, Grid2D):
-        raise GridError("inverse_fourier_fiber needs a 2-D (q, v) sampled function")
-    vaxis = ft.grid.paxis
-    n = vaxis.n
-    if paxis.n != n:
-        raise GridError("target p-axis must have the same point count")
-    v = vaxis.points
-    signs = (-1.0) ** np.arange(n)
-    pre = ft.values * _fiber_phase(paxis, v)
-    values = vaxis.delta * signs * np.fft.fft(pre, axis=1)
-    grid = Grid2D(qaxis=ft.grid.qaxis, paxis=paxis)
-    return SampledFunction(grid=grid, values=values, symbol=None, warnings=ft.warnings)
-
-
 def _wavenumbers(n: int, delta: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=delta)
-
-
-def spectral_derivative(values: np.ndarray, axis: int, delta: float, order: int = 1):
-    """FFT-based partial derivative along ``axis`` (periodic extension)."""
-    n = values.shape[axis]
-    k = _wavenumbers(n, delta)
-    if order % 2 == 1 and n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0  # odd derivative: drop the sign-ambiguous Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = n
-    mult = (1j * k) ** order
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
-
-
-def poisson_bracket(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Canonical bracket ``{f, g} = d_q f d_p g - d_p f d_q g`` on a shared grid."""
-    if not isinstance(f.grid, Grid2D) or not isinstance(g.grid, Grid2D):
-        raise GridError("poisson_bracket needs 2-D sampled functions")
-    if f.grid != g.grid:
-        raise GridError("poisson_bracket needs both functions on the same grid")
-    dq = f.grid.qaxis.delta
-    dp = f.grid.paxis.delta
-    fq = spectral_derivative(f.values, 0, dq)
-    fp = spectral_derivative(f.values, 1, dp)
-    gq = spectral_derivative(g.values, 0, dq)
-    gp = spectral_derivative(g.values, 1, dp)
-    values = fq * gp - fp * gq
-    return SampledFunction(grid=f.grid, values=values, symbol=None,
-                           warnings=tuple(dict.fromkeys(f.warnings + g.warnings)))
 
 
 def shift_factors(n: int, delta: float, shifts) -> np.ndarray:

@@ -87,6 +87,13 @@ operations whichever lane takes it and however many lanes there are:
 results are bit-identical for every lane count.  The kernel build,
 dequantization and the tangent-boundary check all reach the lanes through
 :func:`_on_lanes`.
+
+Dense solves.  :func:`op_norm` takes ``eigvalsh`` and ``svdvals`` from
+``numpy.linalg``, on the OpenBLAS that also runs the ``@`` of
+:func:`compose` and :func:`apply`.  scipy ships a second OpenBLAS with
+its own thread pool, and a solve on it would wait behind the threads that
+numpy's last call left spinning, and the other way round; so every
+dense solve runs on the one pool.
 """
 
 from __future__ import annotations
@@ -97,9 +104,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import eigvalsh
+from numpy.linalg import eigvalsh, svdvals
 from scipy.fft import fft, fft2, ifft, next_fast_len
-from scipy.linalg import svdvals
 
 from .core import (
     DECAY_TOL,
@@ -418,7 +424,10 @@ def hs_norm(kernel: OperatorKernel) -> float:
 
 def op_norm(kernel: OperatorKernel) -> float:
     """Operator norm: largest singular value of ``matrix * dq``
-    (``eigvalsh`` when the matrix is Hermitian to 1e-13)."""
+    (``eigvalsh`` when the matrix is Hermitian to 1e-13).
+
+    Both solvers are ``numpy.linalg``'s, so they share one BLAS pool with
+    ``@`` (module docstring, "Dense solves")."""
     m = kernel.matrix
     n = m.shape[0]
     if n > MAX_DENSE_N:

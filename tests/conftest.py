@@ -40,3 +40,15 @@ def random_gaussians(seed, count, spread=1.0):
 
 def sampled_gaussian(obs, grid):
     return sample(gaussian_field(obs), grid)
+
+
+def spectral_derivative(values, axis, delta):
+    """FFT first derivative along ``axis`` of the periodic extension; the
+    sign-ambiguous even-n Nyquist mode is dropped."""
+    n = values.shape[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=delta)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * k).reshape(shape), axis=axis)

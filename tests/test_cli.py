@@ -157,13 +157,15 @@ def test_positivity_one_sided_grid_exits_2(tmp_path, capsys, given):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("hbar", ["0", "-1"])
+@pytest.mark.parametrize("hbar", ["0", "-1", "nan"])
 def test_positivity_nonpositive_hbar_exits_2(tmp_path, capsys, hbar):
+    # --hbar is checked before the --ratios widths are derived from it
     out = tmp_path / "pos.json"
-    assert run(["positivity", "--hbar", hbar, "--alphas", "1", "--betas", "1",
-                "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"strictq: need hbar > 0, got {float(hbar)}\n"
-    assert not out.exists()
+    for cells in (["--alphas", "1", "--betas", "1"], ["--ratios", "1.0"]):
+        assert run(["positivity", f"--hbar={hbar}", *cells, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"strictq: need --hbar finite and > 0, got {float(hbar)}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("ratio", ["-1", "0", "nan"])
@@ -258,6 +260,14 @@ def test_torus_failure_names_columns(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err == (
         "strictq torus: failed homomorphism_err, center_err\n")
+
+
+@pytest.mark.parametrize("n_range", ["5:2", ","])
+def test_torus_empty_n_range_exits_2(tmp_path, capsys, n_range):
+    out = tmp_path / "t.json"
+    assert run(["torus", "--n-range", n_range, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"strictq: --n-range {n_range!r} holds no N\n"
+    assert not out.exists()
 
 
 def test_torus_trivial_row(tmp_path):

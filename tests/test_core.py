@@ -11,16 +11,37 @@ from strictq.core import (
     GridError,
     HbarSchedule,
     SampleError,
+    SampledFunction,
     fourier_fiber,
-    inverse_fourier_fiber,
-    poisson_bracket,
     quadrature,
     sample,
 )
+from strictq.core import _fiber_phase
 from strictq.gaussian import GaussianObservable, gaussian_symbol
 from strictq.symbols import gaussian_field
 
-from conftest import random_gaussians, sampled_gaussian
+from conftest import random_gaussians, sampled_gaussian, spectral_derivative
+
+
+def inverse_fourier_fiber(ft, paxis):
+    """Oracle: the inverse of :func:`fourier_fiber` onto the momentum axis
+    ``paxis``, ``f(q, p_j) = dv sum_k e^{-i p_j v_k} ft(q, v_k)``."""
+    vaxis = ft.grid.paxis
+    signs = (-1.0) ** np.arange(vaxis.n)
+    pre = ft.values * _fiber_phase(paxis, vaxis.points)
+    values = vaxis.delta * signs * np.fft.fft(pre, axis=1)
+    return SampledFunction(grid=Grid2D(ft.grid.qaxis, paxis), values=values)
+
+
+def poisson_bracket(f, g):
+    """Oracle: the canonical bracket ``{f, g} = d_q f d_p g - d_p f d_q g`` by
+    spectral derivatives, for two functions on one (q, p) grid."""
+    if f.grid != g.grid:
+        raise GridError("poisson_bracket needs both functions on the same grid")
+    dq, dp = f.grid.qaxis.delta, f.grid.paxis.delta
+    values = (spectral_derivative(f.values, 0, dq) * spectral_derivative(g.values, 1, dp)
+              - spectral_derivative(f.values, 1, dp) * spectral_derivative(g.values, 0, dq))
+    return SampledFunction(grid=f.grid, values=values)
 
 
 # ---------------------------------------------------------------- grids

@@ -1,5 +1,6 @@
 """No module of the package or of the tests imports a name that it never uses,
-and no function of the package imports anything.
+no function of the package imports anything, and the package never imports
+``scipy.linalg``.
 
 Each ``src/strictq/*.py`` and ``tests/*.py`` file is parsed with ``ast``.
 A name bound by an import counts as used when the file reads it anywhere
@@ -8,6 +9,11 @@ A name bound by an import counts as used when the file reads it anywhere
 side effect, marked ``# noqa: F401`` on its line with the reason.  The
 package imports at module level only, so a module's dependencies are
 read off its head.
+
+numpy and scipy each ship their own OpenBLAS, with its own thread pool.
+``@`` always runs on numpy's, so the package takes its dense solves from
+``numpy.linalg`` too: a solve on scipy's pool would wait behind the
+threads that numpy's last product left spinning, and the other way round.
 """
 
 import ast
@@ -51,6 +57,22 @@ def function_imports(source: str) -> list:
     return found
 
 
+def scipy_linalg_imports(source: str) -> list:
+    """``line n`` for every import of ``scipy.linalg`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
 def test_scanner_on_known_source():
     source = (
         "from __future__ import annotations\n"
@@ -65,6 +87,12 @@ def test_scanner_on_known_source():
     )
     assert unused_imports(source) == ["js (line 3)", "euler (line 5)", "tau (line 8)"]
     assert function_imports(source) == ["f (line 8)"]
+    linalg = ("import scipy.linalg\n"
+              "from scipy import linalg\n"
+              "from scipy.linalg import svdvals\n"
+              "from scipy.fft import fft\n"
+              "import scipy\n")
+    assert scipy_linalg_imports(linalg) == ["line 1", "line 2", "line 3"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -75,3 +103,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_imports_inside_functions(path):
     assert function_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_scipy_linalg(path):
+    assert scipy_linalg_imports(path.read_text()) == []

@@ -1,8 +1,9 @@
-"""The benchmark tracer's layer names resolve on the strictq modules.
+"""The benchmark tracer's layer and solver names resolve on the strictq modules.
 
 ``benchmarks/tracer.py`` names every traced function by module and
-attribute; a rename in ``src`` would otherwise surface only as a crash
-of a traced benchmark run.  The tracer is loaded by path, unchanged.
+attribute, and the dense solvers whose flops it counts by their names on
+``strictq.weyl``; a rename in ``src`` would otherwise surface only as a
+crash of a traced benchmark run.  The tracer is loaded by path, unchanged.
 """
 
 import importlib
@@ -35,3 +36,8 @@ def test_tracer_layers_resolve():
     missing = [f"{layer}.{name}" for layer, name in names if not resolves(layer, name)]
     assert missing == []
 
+
+def test_tracer_op_norm_solvers_resolve():
+    solvers = list(load_tracer().OP_NORM_SOLVERS)
+    assert solvers
+    assert [name for name in solvers if not resolves("weyl", name)] == []
