@@ -8,7 +8,7 @@ quantize to self-adjoint operators, Q(f)* = Q(f) (kernels of real
 symbols are exactly Hermitian by construction), so the reversed product
 is the adjoint, BA = Q(g)Q(f) = (AB)*, and its Weyl symbol is the
 complex conjugate, g * f = conj(f * g).  Every report draws its defect
-from AB:
+from AB, and each report is named by one label, its ``axiom``:
 
 * ``dirac``: operator norm of Q({f, g}) minus the quantum bracket
   (AB - AB*) / (i hbar);
@@ -18,9 +18,10 @@ from AB:
 * ``norm_continuity``: gaps between the same norms ||Q(f)|| at
   successive scheduled hbar values.  The report is omitted when the
   clipped schedule has fewer than two entries;
-* ``star_limit``: sup norms of (f * g - fg) and of the rescaled star
-  commutator minus the Poisson bracket, where f * g is the
-  dequantization of AB and the commutator
+* ``star_product``: sup norm of f * g - fg, where f * g is the
+  dequantization of AB;
+* ``star_bracket``: sup norm of the rescaled star commutator minus the
+  Poisson bracket, where the commutator
   (f * g - g * f) / (i hbar) = 2 Im(f * g) / hbar is exactly real.
 
 Q({f, g}) and Q(fg) are built one at a time and released, as are Q(f)
@@ -48,7 +49,7 @@ which it appeared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,7 +99,6 @@ class AxiomReport:
     hbars: np.ndarray
     defects: np.ndarray
     classical_ref: float
-    detail: str = ""
     notes: tuple = field(default_factory=lambda: (_LIMIT_NOTE,))
     warnings: tuple = ()
 
@@ -116,17 +116,11 @@ class AxiomReport:
 
 
 def _jordan_of(ab: OperatorKernel, ba: OperatorKernel) -> OperatorKernel:
-    return OperatorKernel(
-        grid=ab.grid, matrix=0.5 * (ab.matrix + ba.matrix), hbar=ab.hbar,
-        warnings=ab.warnings,
-    )
+    return replace(ab, matrix=0.5 * (ab.matrix + ba.matrix))
 
 
 def _bracket_of(ab: OperatorKernel, ba: OperatorKernel, hbar: float) -> OperatorKernel:
-    return OperatorKernel(
-        grid=ab.grid, matrix=(ab.matrix - ba.matrix) / (1j * hbar), hbar=ab.hbar,
-        warnings=ab.warnings,
-    )
+    return replace(ab, matrix=(ab.matrix - ba.matrix) / (1j * hbar))
 
 
 def jordan(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
@@ -198,38 +192,27 @@ def _star_step(ab: OperatorKernel, product: SampledFunction, bracket: SampledFun
             float(np.max(np.abs(comm - bracket.values))))
 
 
+def _report(axiom, hbars, defects, classical_ref, notes, seen) -> AxiomReport:
+    return AxiomReport(axiom=axiom, hbars=hbars, defects=np.array(defects),
+                       classical_ref=classical_ref, notes=notes,
+                       warnings=tagged_warnings(seen))
+
+
 def _star_reports(hbars, defects, product, bracket, notes, seen):
-    prod_defects, br_defects = (np.array(d) for d in zip(*defects))
-    common = dict(axiom="star_limit", hbars=hbars, notes=notes, warnings=tagged_warnings(seen))
-    return (
-        AxiomReport(defects=prod_defects, classical_ref=product.sup_norm(),
-                    detail="product", **common),
-        AxiomReport(defects=br_defects, classical_ref=bracket.sup_norm(),
-                    detail="bracket", **common),
-    )
+    prod_defects, br_defects = zip(*defects)
+    return (_report("star_product", hbars, prod_defects, product.sup_norm(), notes, seen),
+            _report("star_bracket", hbars, br_defects, bracket.sup_norm(), notes, seen))
 
 
-def _norm_limit_report(f, hbars, norms, notes, seen) -> AxiomReport:
+def _norm_reports(f, hbars, norms, notes, seen) -> list:
+    """``[norm_limit, norm_continuity]``, without continuity for a single hbar."""
     ref = f.sup_norm()
-    return AxiomReport(
-        axiom="norm_limit",
-        hbars=hbars,
-        defects=np.array([abs(norm - ref) for norm in norms]),
-        classical_ref=ref,
-        notes=notes,
-        warnings=tagged_warnings(seen),
-    )
-
-
-def _norm_continuity_report(f, hbars, norms, notes, seen) -> AxiomReport:
-    return AxiomReport(
-        axiom="norm_continuity",
-        hbars=hbars[:-1],
-        defects=np.abs(np.diff(norms)),
-        classical_ref=f.sup_norm(),
-        notes=notes,
-        warnings=tagged_warnings(seen),
-    )
+    reports = [_report("norm_limit", hbars, [abs(norm - ref) for norm in norms], ref,
+                       notes, seen)]
+    if len(hbars) >= 2:
+        reports.append(_report("norm_continuity", hbars[:-1], np.abs(np.diff(norms)), ref,
+                               notes, seen))
+    return reports
 
 
 def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) -> list:
@@ -237,9 +220,9 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
 
     f and g must be real observables: Q(g)Q(f) is taken as the adjoint of
     Q(f)Q(g), so a Q(f) or Q(g) that is not exactly Hermitian raises
-    ``ValueError``.  Returns ``[dirac, vonneumann, norm_limit, norm_continuity,
-    star product, star bracket]``, without ``norm_continuity`` when the
-    clipped schedule has fewer than two entries.
+    ``ValueError``.  Returns the reports ``[dirac, vonneumann, norm_limit,
+    norm_continuity, star_product, star_bracket]``, without ``norm_continuity``
+    when the clipped schedule has fewer than two entries.
     """
     _require_fields(f, g)
     qgrid = f.grid.qaxis
@@ -265,19 +248,12 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
         star.append(_star_step(ab, product, bracket, seen_star))
 
     hbars = clipped.values
-    reports = [
-        AxiomReport(axiom="dirac", hbars=hbars, defects=np.array(dirac),
-                    classical_ref=bracket.sup_norm(), notes=notes,
-                    warnings=tagged_warnings(seen_dirac)),
-        AxiomReport(axiom="vonneumann", hbars=hbars, defects=np.array(vonneumann),
-                    classical_ref=product.sup_norm(), notes=notes,
-                    warnings=tagged_warnings(seen_vonneumann)),
-        _norm_limit_report(f, hbars, norms, notes, seen_norm),
+    return [
+        _report("dirac", hbars, dirac, bracket.sup_norm(), notes, seen_dirac),
+        _report("vonneumann", hbars, vonneumann, product.sup_norm(), notes, seen_vonneumann),
+        *_norm_reports(f, hbars, norms, notes, seen_norm),
+        *_star_reports(hbars, star, product, bracket, notes, seen_star),
     ]
-    if clipped.count >= 2:
-        reports.append(_norm_continuity_report(f, hbars, norms, notes, seen_norm))
-    reports.extend(_star_reports(hbars, star, product, bracket, notes, seen_star))
-    return reports
 
 
 def check_dirac(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) -> AxiomReport:
@@ -296,31 +272,28 @@ def check_vonneumann(f: SampledFunction, g: SampledFunction, schedule: HbarSched
     return axiom_sweep(f, g, schedule)[1]
 
 
-def _norms(f: SampledFunction, hbars, seen: dict) -> list:
-    norms = []
-    for hbar in hbars:
+def _norm_check(f: SampledFunction, schedule: HbarSchedule) -> list:
+    """The norm reports of f alone, from one Q(f) per clipped hbar."""
+    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
+    seen, norms = {}, []
+    for hbar in clipped.values:
         kernel = weyl_kernel(f, hbar, f.grid.qaxis)
         record_warnings(seen, hbar, kernel)
         norms.append(op_norm(kernel))
-    return norms
+    return _norm_reports(f, clipped.values, norms, notes, seen)
 
 
 def check_norm_limit(f: SampledFunction, schedule: HbarSchedule) -> AxiomReport:
     """Defect of the norm limit ||Q(f)|| -> sup|f|."""
-    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
-    seen = {}
-    norms = _norms(f, clipped.values, seen)
-    return _norm_limit_report(f, clipped.values, norms, notes, seen)
+    return _norm_check(f, schedule)[0]
 
 
 def check_norm_continuity(f: SampledFunction, schedule: HbarSchedule) -> AxiomReport:
     """Gaps of ||Q(f)|| between successive scheduled hbar values."""
-    clipped, notes = clip_schedule(f, schedule, _LIMIT_NOTE)
-    if clipped.count < 2:
+    reports = _norm_check(f, schedule)
+    if len(reports) < 2:
         raise ValueError("norm continuity needs at least two scheduled values")
-    seen = {}
-    norms = _norms(f, clipped.values, seen)
-    return _norm_continuity_report(f, clipped.values, norms, notes, seen)
+    return reports[1]
 
 
 def check_star_limits(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule):

@@ -29,7 +29,7 @@ A report's config is the subcommand's options, what it derived from them
 the conventions.
 
 Exit codes: 0 on success, 1 when a numerical pass/fail predicate fails,
-2 on usage errors.
+2 on usage errors, with a reason that names the option at fault.
 """
 
 from __future__ import annotations
@@ -55,6 +55,17 @@ from . import rotation
 from . import weyl
 
 __all__ = ["main"]
+
+#: The range of every numeric grid and schedule option, checked before any
+#: subcommand that declares the option runs: (rule, predicate).
+OPTION_RANGES = {
+    "n": (">= 2", lambda v: v >= 2),
+    "box": ("finite and > 0", lambda v: np.isfinite(v) and v > 0),
+    "hbar": ("finite and > 0", lambda v: np.isfinite(v) and v > 0),
+    "hbar_start": ("finite and > 0", lambda v: np.isfinite(v) and v > 0),
+    "hbar_ratio": ("in (0, 1)", lambda v: 0 < v < 1),
+    "hbar_count": (">= 1", lambda v: v >= 1),
+}
 
 AXIOM_LABELS = {
     0: "dirac",
@@ -140,16 +151,16 @@ def cmd_axioms(args) -> int:
     schedule = _schedule(args)
     reports = asymptotics.axiom_sweep(*_sampled_specs(args), schedule)
 
-    ids = {"dirac": 0, "vonneumann": 1, "norm_limit": 2, "norm_continuity": 3}
+    ids = {label: axiom_id for axiom_id, label in AXIOM_LABELS.items()}
     rows, notes, warnings, failed = [], [], [], []
     for rep in reports:
-        axiom_id = ids.get(rep.axiom, 4 if rep.detail == "product" else 5)
+        axiom_id = ids[rep.axiom]
         for hbar, defect in zip(rep.hbars, rep.defects):
             rows.append([axiom_id, hbar, defect, rep.classical_ref])
         notes.extend(rep.notes)
         warnings.extend(rep.warnings)
         if rep.axiom != "norm_continuity" and not rep.passes():
-            failed.append(AXIOM_LABELS[axiom_id])
+            failed.append(rep.axiom)
     rows.sort(key=lambda r: (r[0], -r[1]))
     warnings = sorted(set(warnings))
     _report(args, ["axiom_id", "hbar", "defect", "classical_ref"], rows,
@@ -160,16 +171,14 @@ def cmd_axioms(args) -> int:
 def cmd_positivity(args) -> int:
     qgrid = Grid1D(-args.box, args.box, args.n)
     hbar = args.hbar
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"need --hbar finite and > 0, got {hbar}")
     if (args.alphas is None) != (args.betas is None):
         raise ValueError("give both --alphas and --betas, or neither")
     if args.alphas is not None:
-        alphas = _parse_floats(args.alphas)
-        betas = _parse_floats(args.betas)
+        alphas = _parse_floats("--alphas", args.alphas)
+        betas = _parse_floats("--betas", args.betas)
         cells = [(a, b) for a in alphas for b in betas]
     else:
-        ratios = _parse_floats(args.ratios)
+        ratios = _parse_floats("--ratios", args.ratios)
         for r in ratios:
             if not (np.isfinite(r) and r > 0):
                 raise ValueError(f"need every --ratios value finite and > 0, got {r}")
@@ -199,7 +208,7 @@ def cmd_torus(args) -> int:
     rows = []
     for N in n_values:
         rep = rotation.rep_matrices(N, K)
-        defect = rotation.dirac_defect(m, k, N)
+        defect = rotation.dirac_defect(m, k, N, K)
         direct_err = float(np.max(np.abs(defect["direct"] - defect["matrix"])))
         comm = float(np.max(np.abs(
             rep.V @ rep.U - np.exp(2j * np.pi * K / N) * rep.U @ rep.V)))
@@ -352,8 +361,7 @@ def cmd_star(args) -> int:
         [hbar, dp, db]
         for hbar, dp, db in zip(prod_rep.hbars, prod_rep.defects, br_rep.defects)
     ]
-    failed = [label for label, rep in (("product", prod_rep), ("bracket", br_rep))
-              if not rep.passes()]
+    failed = [rep.axiom.removeprefix("star_") for rep in (prod_rep, br_rep) if not rep.passes()]
     warnings = sorted(set(prod_rep.warnings))
     _report(args, ["hbar", "product_defect", "bracket_defect"], rows,
             classical_refs={"product": prod_rep.classical_ref,
@@ -362,10 +370,11 @@ def cmd_star(args) -> int:
     return _exit_code("star", failed, warnings)
 
 
-def _parse_floats(text: str) -> list:
-    if text is None or not text.strip():
-        return []
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_floats(option: str, text: str) -> list:
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{option} {text!r} holds no value")
+    return values
 
 
 def _parse_int_range(text: str) -> list:
@@ -451,6 +460,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        options = vars(args)
+        for dest, (rule, ok) in OPTION_RANGES.items():
+            if dest in options and not ok(options[dest]):
+                raise ValueError(f"need --{dest.replace('_', '-')} {rule}, got {options[dest]}")
         return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"strictq: {exc}", file=sys.stderr)

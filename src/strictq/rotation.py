@@ -31,7 +31,7 @@ which makes real observables go to Hermitian matrices.
 Units on the area-N torus are fixed as h = 1, hbar = 1/(2 pi), with
 Poisson bracket ``{f, g} = (1/N)(d_x f d_y g - d_y f d_x g)``; under this
 convention the exact commutator defect of two exponentials is the scalar
-``2 i (m n pi / N - sin(m n pi / N))`` times the quantized product
+``2 i (m n pi / N - sin(m n K pi / N))`` times the quantized product
 exponential, which :func:`dirac_defect` verifies by direct matrix
 computation.
 """
@@ -265,23 +265,23 @@ def poisson_torus(f: RotAlgElement, g: RotAlgElement, N: int) -> RotAlgElement:
     return RotAlgElement(0.0, out)
 
 
-def dirac_defect(m: int, n: int, N: int) -> dict:
-    """Exact commutator defect of Q(e^{2 pi i m x}) and Q(e^{2 pi i n y}).
+def dirac_defect(m: int, n: int, N: int, K: int = 1) -> dict:
+    """Exact commutator defect of Q(e^{2 pi i m x}) and Q(e^{2 pi i n y}) at theta = K/N.
 
-    Returns the closed-form scalar ``2i(m n pi/N - sin(m n pi/N))``, the
+    Returns the closed-form scalar ``2i(m n pi/N - sin(m n K pi/N))``, the
     matrix ``scalar * Q(e^{2 pi i (m x + n y)})``, and the same quantity
     computed directly as ``[Q(f), Q(g)] - i hbar Q({f, g})`` from the
     representation matrices, for comparison.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    scalar = 2j * (m * n * np.pi / N - np.sin(m * n * np.pi / N))
+    scalar = 2j * (m * n * np.pi / N - np.sin(m * n * K * np.pi / N))
     f = torus_observable({(m, 0): 1.0})
     g = torus_observable({(0, n): 1.0})
-    qmn = quantize_torus(torus_observable({(m, n): 1.0}), N, 1)
-    qf = quantize_torus(f, N, 1)
-    qg = quantize_torus(g, N, 1)
-    qbr = quantize_torus(poisson_torus(f, g, N), N, 1)
+    qmn = quantize_torus(torus_observable({(m, n): 1.0}), N, K)
+    qf = quantize_torus(f, N, K)
+    qg = quantize_torus(g, N, K)
+    qbr = quantize_torus(poisson_torus(f, g, N), N, K)
     direct = (qf @ qg - qg @ qf) - 1j * TORUS_HBAR * qbr
     return {"scalar": scalar, "matrix": scalar * qmn, "direct": direct}
 

@@ -64,12 +64,12 @@ of a dense O(n^3) phase product:
   the kernels agree to about 1e-14 and the symbols to about 1e-13
   relative to their largest entry (``tests/test_weyl.py`` keeps the
   dense formulas as the oracle);
-* the kernel build transforms the real and the imaginary part of the
-  symbol samples (a zero part is skipped) at separations ``d >= 0`` only
-  and mirrors them by conjugation, so ``Q(conj f) = Q(f)^H`` holds
-  exactly: kernels of real symbols are exactly Hermitian, as the dense
-  product made them, and :func:`op_norm` keeps choosing its Hermitian
-  solver for their differences;
+* the kernel build transforms the symbol samples at separations
+  ``d >= 0`` only and mirrors them onto ``-d`` by conjugation, through the
+  transform of the conjugate symbol for a complex one; the diagonal is the
+  mean of the two, so ``Q(conj f) = Q(f)^H`` holds exactly: kernels of real
+  symbols are exactly Hermitian, as the dense product made them, and
+  :func:`op_norm` keeps choosing its Hermitian solver for their differences;
 * rows are transformed in blocks of ``_CZT_BLOCK`` rows, the tasks of
   the lanes.
 
@@ -280,8 +280,8 @@ def weyl_kernel(f: SampledFunction, hbar: float, qgrid: Grid1D) -> OperatorKerne
 
     mids = _midpoints(qgrid)
     p = paxis.points
-    # a real symbol stays real: its imaginary part is never transformed
     fmid = np.asarray(f.symbol(mids[:, None], p[None, :]))
+    mirror = fmid.conj() if np.iscomplexobj(fmid) and fmid.imag.any() else None
 
     # only separations inside the band carry a resolved phase; the kernel
     # beyond it stays zero
@@ -295,43 +295,31 @@ def weyl_kernel(f: SampledFunction, hbar: float, qgrid: Grid1D) -> OperatorKerne
     s = np.arange(top + 1)
     post = np.exp(1j * p[c] * dq / hbar * s) * (dp / (2.0 * np.pi * hbar))
     plan = _Bluestein(dp * dq / hbar, j, s, 1.0, post)
-    # the sum over a real row at -d is the conjugate of the sum at d: transform
-    # d >= 0 of the real and imaginary parts and mirror, so Q(conj f) = Q(f)^H
-    # holds exactly (kernels of real symbols are exactly Hermitian)
-    parts = [fmid.real]
-    if np.iscomplexobj(fmid) and fmid.imag.any():
-        parts.append(fmid.imag)
     matrix = np.zeros((n, n), dtype=complex)
     # largest entry and largest band-edge entry of each block, over all its
     # separations |d| <= band
     peaks = np.zeros((-(-(2 * n - 1) // _CZT_BLOCK), 2))
 
     def build(rows, work):
-        # rows are midpoints m_a = (q_i + q_j)/2, a = i + j; sums at d_s = (i - j) dq
-        # for s >= 0 (at s = 0 the real part) go to the entry below the diagonal,
-        # their mirror to the one above
-        h = parts[0][rows].shape[0]
-        below, above, half, turned = work[:4 * h * (top + 1)].reshape(4, h, top + 1)
-        rest = work[below.size * 4:]
-        plan(parts[0][rows], below, rest)
-        below[:, 0] = below[:, 0].real
-        np.conjugate(below, out=above)
-        if len(parts) == 2:
-            plan(parts[1][rows], half, rest)
-            half[:, 0] = half[:, 0].real
-            np.conjugate(half, out=turned)
-            turned *= 1j
-            above += turned
-            half *= 1j
-            below += half
-        lower = np.abs(below, out=rest.view(float)[:below.size].reshape(below.shape))
-        upper = np.abs(above[:, 1:], out=half.view(float)[:, :top])
-        peaks[rows.start // _CZT_BLOCK] = (
-            max(lower.max(), upper.max(initial=0.0)),
-            max(lower[:, top].max(), upper[:, top - 1].max() if top else 0.0))
+        # rows are midpoints m_a = (q_i + q_j)/2, a = i + j; the sums at d_s = (i - j) dq,
+        # s >= 0, go below the diagonal, the conjugate sums of conj f (of f, if real)
+        # above it, and the diagonal is the mean of both: Q(conj f) = Q(f)^H exactly
+        h = fmid[rows].shape[0]
+        both = work[:2 * h * (top + 1)].reshape(2, h, top + 1)
+        below, above = both
+        rest = work[both.size:]
+        plan(fmid[rows], below, rest)
+        if mirror is None:
+            np.conjugate(below, out=above)
+        else:
+            plan(mirror[rows], above, rest)
+            np.conjugate(above, out=above)
+        below[:, 0] = above[:, 0] = 0.5 * (below[:, 0] + above[:, 0])
+        magnitude = np.abs(both, out=rest.view(float)[:both.size].reshape(both.shape))
+        peaks[rows.start // _CZT_BLOCK] = magnitude.max(), magnitude[:, :, top].max()
         _scatter(matrix.reshape(-1), rows.start, below, above, n)
 
-    _on_lanes(2 * n - 1, plan.size + 4 * (top + 1), build)
+    _on_lanes(2 * n - 1, plan.size + 2 * (top + 1), build)
 
     if not inside.all():
         # the band was clipped: the true kernel must be negligible at the edge

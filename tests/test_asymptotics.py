@@ -13,6 +13,7 @@ from strictq.asymptotics import (
     jordan,
     quantum_bracket,
 )
+from strictq.cli import AXIOM_LABELS
 from strictq.core import Grid1D, Grid2D, HbarSchedule, sample
 from strictq.gaussian import GaussianObservable
 from strictq.symbols import coordinate_field, gaussian_field, poisson_field, window_field
@@ -210,9 +211,8 @@ def test_sweep_builds_each_kernel_and_product_once(monkeypatch):
     # Q(g)Q(f) is the adjoint of Q(f)Q(g) and g * f = conj(f * g): one product
     # and one dequantization per hbar
     assert per_hbar == {"weyl_kernel": 4, "compose": 1, "op_norm": 3, "dequantize": 1}
-    assert [(r.axiom, r.detail) for r in reports] == [
-        ("dirac", ""), ("vonneumann", ""), ("norm_limit", ""), ("norm_continuity", ""),
-        ("star_limit", "product"), ("star_limit", "bracket")]
+    assert [r.axiom for r in reports] == [
+        "dirac", "vonneumann", "norm_limit", "norm_continuity", "star_product", "star_bracket"]
 
     counts.clear()
     check_star_limits(f, g, sched)
@@ -262,6 +262,15 @@ def test_sweep_matches_independent_checks():
     assert vonn.classical_ref == product.sup_norm()
 
 
+def test_sweep_labels_are_the_cli_axiom_labels():
+    # each report is named by the one label that keys its axiom_id in the
+    # CLI table, in the order of the ids
+    axis = Grid1D(-6.0, 6.0, 64)
+    grid = Grid2D(axis, axis)
+    reports = axiom_sweep(make(F_OBS, grid), make(G_OBS, grid), HbarSchedule(1.0, 0.5, 2))
+    assert [r.axiom for r in reports] == list(AXIOM_LABELS.values())
+
+
 @pytest.mark.parametrize("which", ["f", "g"])
 def test_sweep_refuses_complex_observable(which):
     # Q(c f) = c Q(f) is not Hermitian for complex c, so Q(g)Q(f) is not
@@ -282,7 +291,7 @@ def test_sweep_omits_continuity_on_single_clipped_hbar():
     # 0.012 sits just above the aliasing floor; the smaller entries are clipped
     reports = axiom_sweep(make(F_OBS, grid), make(G_OBS, grid), HbarSchedule(0.012, 0.5, 3))
     assert [r.axiom for r in reports] == [
-        "dirac", "vonneumann", "norm_limit", "star_limit", "star_limit"]
+        "dirac", "vonneumann", "norm_limit", "star_product", "star_bracket"]
     assert all(len(r.hbars) == 1 for r in reports)
     assert any("clipped from 3 to 1" in note for note in reports[0].notes)
     with pytest.raises(ValueError):

@@ -100,16 +100,21 @@ def test_no_option_is_a_no_op(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option,value,reason", [
-    ("--n", "1", "need n >= 2, got n=1"),
-    ("--box", "0", "need hi > lo, got [-0.0, 0.0]"),
-    ("--hbar-start", "0", "need start > 0, got 0.0"),
-    ("--hbar-ratio", "1.5", "need ratio in (0, 1), got 1.5"),
+    ("--n", "1", "need --n >= 2, got 1"),
+    ("--box", "0", "need --box finite and > 0, got 0.0"),
+    ("--hbar-start", "0", "need --hbar-start finite and > 0, got 0.0"),
+    ("--hbar-ratio", "1.5", "need --hbar-ratio in (0, 1), got 1.5"),
+    ("--hbar-count", "0", "need --hbar-count >= 1, got 0"),
 ])
 def test_bad_grid_or_schedule_exits_2(tmp_path, capsys, option, value, reason):
-    out = tmp_path / "ax.json"
-    assert run(["axioms", option, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"strictq: {reason}\n"
-    assert not out.exists()
+    # every subcommand that declares the option refuses it, naming it
+    out = tmp_path / "r.json"
+    commands = [c for c, options in subcommand_options().items() if option in options]
+    assert "axioms" in commands
+    for command in commands:
+        assert run([command, *NO_OP_RUNS[command][0], option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"strictq: {reason}\n", command
+        assert not out.exists()
 
 
 # ------------------------------------------------------------------ reports
@@ -142,11 +147,15 @@ def test_positivity_failure_names_cells(tmp_path, capsys, monkeypatch):
         "strictq positivity: failed threshold at alpha=0.353553, beta=0.353553\n")
 
 
-def test_positivity_empty_range(tmp_path):
+def test_positivity_empty_range(tmp_path, capsys):
+    # an empty grid is refused, naming the option, and no report is written
     out = tmp_path / "pos.json"
-    code = run(["positivity", "--alphas", "", "--betas", "", "--out", str(out)])
-    assert code == 0
-    assert read_json(out)["rows"] == []
+    for cells, option, text in ((["--ratios="], "--ratios", ""),
+                                (["--alphas", "", "--betas", ""], "--alphas", ""),
+                                (["--alphas", "1", "--betas", ","], "--betas", ",")):
+        assert run(["positivity", *cells, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"strictq: {option} {text!r} holds no value\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("given", ["--alphas", "--betas"])
@@ -268,6 +277,23 @@ def test_torus_empty_n_range_exits_2(tmp_path, capsys, n_range):
     assert run(["torus", "--n-range", n_range, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"strictq: --n-range {n_range!r} holds no N\n"
     assert not out.exists()
+
+
+def test_torus_twist_reaches_the_dirac_defect(tmp_path):
+    # --K quantizes the defect columns too: closed form 2(pi/N - sin(pi K/N))
+    # for m = k = 1, checked against the direct matrices
+    out = tmp_path / "t.json"
+    assert run(["torus", "--K", "3", "--n-range", "4,5,7,8", "--out", str(out)]) == 0
+    data = read_json(out)
+    col = {name: i for i, name in enumerate(data["columns"])}
+    assert [row[col["N"]] for row in data["rows"]] == [4.0, 5.0, 7.0, 8.0]
+    for row in data["rows"]:
+        N = row[col["N"]]
+        closed = 2.0 * abs(np.pi / N - np.sin(3 * np.pi / N))
+        assert row[col["K"]] == 3.0
+        assert row[col["defect_abs"]] == pytest.approx(closed, rel=1e-13)
+        assert row[col["defect_times_N3"]] == pytest.approx(closed * N**3, rel=1e-13)
+        assert row[col["direct_vs_closed"]] <= 1e-12
 
 
 def test_torus_trivial_row(tmp_path):

@@ -320,6 +320,18 @@ def test_dirac_defect_direct_matches_closed_form():
                 assert np.max(np.abs(out["direct"] - out["matrix"])) < 1e-12
 
 
+@pytest.mark.parametrize("N,K", [(7, 3), (8, 3), (5, 2)])
+def test_dirac_defect_in_twisted_representation(N, K):
+    # in the theta = K/N representation the sine carries K; the direct
+    # commutator of the representation matrices is the oracle
+    for m in range(1, 4):
+        for n in range(1, 4):
+            out = dirac_defect(m, n, N, K)
+            assert_allclose(out["scalar"], 2j * (m * n * np.pi / N - np.sin(m * n * K * np.pi / N)))
+            assert np.max(np.abs(out["direct"] - out["matrix"])) < 1e-12
+    assert abs(dirac_defect(1, 1, N, K)["scalar"]) != abs(dirac_defect(1, 1, N)["scalar"])
+
+
 def test_dirac_defect_scaling_limit():
     scalar = abs(dirac_defect(1, 1, 64)["scalar"])
     assert abs(scalar * 64**3 - np.pi**3 / 3.0) / (np.pi**3 / 3.0) < 0.01

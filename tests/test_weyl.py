@@ -374,7 +374,9 @@ def table_gather_kernel(f, hbar, qgrid):
 
     Row a of the table holds the midpoint (q_i + q_j)/2 with i + j = a; it
     is transformed onto the separations d >= 0 (the real part at d = 0),
-    mirrored by conjugation onto d < 0 and gathered by fancy indexing.
+    mirrored by conjugation onto d < 0 and gathered by fancy indexing.  A
+    complex symbol is mirrored through the transform of its conjugate
+    instead, and the entry at d = 0 is the mean of both transforms there.
     """
     paxis = f.grid.paxis
     n = qgrid.n
@@ -389,15 +391,17 @@ def table_gather_kernel(f, hbar, qgrid):
     plan = _Bluestein(dp * dq / hbar, np.arange(paxis.n) - c, s, 1.0, post)
     table = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
     right, left = table[:, n - 1:n + top], table[:, n - 1 - top:n - 1][:, ::-1]
-    _chirp_z(plan, fmid.real, right)
-    right[:, 0] = right[:, 0].real
-    np.conjugate(right[:, 1:], out=left)
-    if fmid.imag.any():
-        half = np.empty_like(right)
-        _chirp_z(plan, fmid.imag, half)
-        half[:, 0] = half[:, 0].real
-        right += 1j * half
-        left += 1j * half[:, 1:].conj()
+    if not fmid.imag.any():
+        _chirp_z(plan, fmid.real, right)
+        right[:, 0] = right[:, 0].real
+        np.conjugate(right[:, 1:], out=left)
+    else:
+        mirror = np.empty_like(right)
+        _chirp_z(plan, fmid, right)
+        _chirp_z(plan, fmid.conj(), mirror)
+        np.conjugate(mirror, out=mirror)
+        right[:, 0] = 0.5 * (right[:, 0] + mirror[:, 0])
+        left[:] = mirror[:, 1:]
     return oracle_gather_table(table, n)
 
 
