@@ -103,7 +103,9 @@ def test_no_option_is_a_no_op(command, tmp_path, capsys):
     ("--n", "1", "need --n >= 2, got 1"),
     ("--box", "0", "need --box finite and > 0, got 0.0"),
     ("--hbar-start", "0", "need --hbar-start finite and > 0, got 0.0"),
-    ("--hbar-ratio", "1.5", "need --hbar-ratio in (0, 1), got 1.5"),
+    # this case keeps the id it had when the reason was HbarSchedule's own
+    pytest.param("--hbar-ratio", "1.5", "need --hbar-ratio in (0, 1), got 1.5",
+                 id="--hbar-ratio-1.5-need ratio in (0, 1), got 1.5"),
     ("--hbar-count", "0", "need --hbar-count >= 1, got 0"),
 ])
 def test_bad_grid_or_schedule_exits_2(tmp_path, capsys, option, value, reason):
