@@ -337,12 +337,13 @@ def cmd_groupoid(args) -> int:
     rows = []
     wm_ok = True
     seen: dict = {}
-    for hbar in schedule.values:
-        res = groupoid_mod.wm_correspondence(f, hbar)
+    # one Weyl kernel per hbar, shared by both sections
+    family = groupoid_mod.canonical_family(f, schedule.values)
+    for hbar, kernel in zip(family.hbars, family.kernels):
+        res = groupoid_mod.wm_correspondence(f, kernel)
         rows.append([hbar, res["defect"], res["weyl_norm"]])
         wm_ok = wm_ok and res["defect"] <= 1e-5 * max(res["weyl_norm"], 1.0)
         record_warnings(seen, hbar, res["rep"], res["weyl"])
-    family = groupoid_mod.canonical_family(f, schedule.values)
     boundary = groupoid_mod.tangent_boundary_check(family)
     for hbar, defect, raw in zip(boundary.hbars, boundary.defects, boundary.raw):
         rows.append([hbar, defect, raw])

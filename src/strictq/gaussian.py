@@ -48,7 +48,6 @@ __all__ = [
     "gaussian_kernel_closed_form",
     "positivity_intermediates",
     "expectation_closed_form",
-    "expectation_quadrature",
     "positivity_verdict",
 ]
 
@@ -160,16 +159,6 @@ def expectation_closed_form(g: GaussianObservable, sigma: float, hbar: float) ->
     inter = positivity_intermediates(g, sigma, hbar)
     pref = (2.0 * g.beta / (np.pi * hbar**2)) ** 0.5
     return float(pref * 2.0 * np.pi * inter.theta / inter.dee**1.5)
-
-
-def expectation_quadrature(
-    g: GaussianObservable, sigma: float, hbar: float, qgrid: Grid1D
-) -> float:
-    """Brute-force double integral of the expectation (the independent oracle)."""
-    kernel = gaussian_kernel_closed_form(g, hbar, qgrid)
-    psi = psi_sigma_vector(g, sigma, hbar, qgrid).values
-    val = np.conj(psi) @ kernel.matrix @ psi * qgrid.delta**2
-    return float(val.real)
 
 
 def positivity_verdict(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> dict:

@@ -263,16 +263,21 @@ def fiber_hat(f: SampledFunction, hbar: float) -> GroupoidFunction:
                             epsilon=hbar, warnings=f.warnings + wrapped)
 
 
-def wm_correspondence(f: SampledFunction, hbar: float) -> dict:
-    """Compare the semidirect representation of f-hat with the Weyl kernel.
+def wm_correspondence(f: SampledFunction, kw: OperatorKernel) -> dict:
+    """Compare the semidirect representation of f-hat with ``kw``, the Weyl
+    kernel of f on its position axis, at ``kw.hbar``.
 
-    Returns the groupoid element, both kernels (``rep`` and ``weyl``,
-    which carry their warnings), the operator-norm defect between them
-    and the Weyl kernel norm for scale.
+    The caller builds ``kw`` (``weyl_kernel(f, hbar, f.grid.qaxis)``), so
+    a report can share it with the :class:`KernelFamily` of the boundary
+    check.  Returns the groupoid element, both kernels (``rep`` and
+    ``weyl``, which carry their warnings), the operator-norm defect between
+    them and the Weyl kernel norm for scale.
     """
+    if kw.grid != f.grid.qaxis:
+        raise GridError("wm_correspondence needs the Weyl kernel on f's position axis")
+    hbar = kw.hbar
     fhat = fiber_hat(f, hbar)
     rep = semidirect_rep(fhat)
-    kw = weyl_kernel(f, hbar, f.grid.qaxis)
     diff = OperatorKernel(grid=kw.grid, matrix=rep.matrix - kw.matrix, hbar=hbar)
     return {"fhat": fhat, "rep": rep, "weyl": kw, "defect": op_norm(diff),
             "weyl_norm": op_norm(kw)}

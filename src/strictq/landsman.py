@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .core import Grid1D, GridError, SampledFunction, fourier_fiber
 from .weyl import OperatorKernel, compose, op_norm
@@ -76,9 +75,10 @@ class Metric1D:
 
     ``domain`` is ``'line'`` (arclength range may still be bounded, as for
     g = e^{2q}) or ``'circle'``.  Closed-form arclength ``s`` and inverse
-    ``s_inv`` may be supplied; otherwise they are built numerically
-    (per-cell Gauss-Legendre accumulation plus Newton inversion) on
-    ``[lo, hi]``.
+    ``s_inv`` may be supplied; otherwise they are built numerically on
+    ``[lo, hi]``: 3-point Gauss-Legendre per cell, accumulated over the
+    cells left of q plus the same rule over the partial cell, inverted by
+    Newton steps.  Outside ``[lo, hi]`` both raise :class:`DomainError`.
     """
 
     g: object
@@ -102,24 +102,30 @@ class Metric1D:
 
     def _build_arclength(self, cells: int = 8192):
         edges = np.linspace(self.lo, self.hi, cells + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        h = edges[1] - edges[0]
-        # 3-point Gauss-Legendre per cell
-        xi = np.sqrt(3.0 / 5.0)
-        nodes = np.concatenate([mid - xi * h / 2, mid, mid + xi * h / 2])
-        w = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-        vals = np.sqrt(np.asarray(self.g(nodes), dtype=float)).reshape(3, cells)
-        increments = h * (w @ vals)
-        s_edges = np.concatenate([[0.0], np.cumsum(increments)])
-        self._tables["spline"] = CubicSpline(edges, s_edges)
+        increments = self._gauss_legendre(edges[:-1], edges[1] - edges[0])
         self._tables["edges"] = edges
-        self._tables["s_edges"] = s_edges
+        self._tables["s_edges"] = np.concatenate([[0.0], np.cumsum(increments)])
+
+    def _gauss_legendre(self, a, h):
+        """``int_a^{a+h} sqrt(g)`` for each a (and h), by 3-point Gauss-Legendre."""
+        mid = a + 0.5 * h
+        off = np.sqrt(3.0 / 5.0) * 0.5 * h
+        nodes = np.concatenate([mid - off, mid, mid + off])
+        vals = np.sqrt(np.asarray(self.g(nodes), dtype=float)).reshape(3, -1)
+        return h * (np.array([5.0, 8.0, 5.0]) / 18.0 @ vals)
 
     def arclength(self, q):
         q = np.asarray(q, dtype=float)
         if self.s is not None:
             return np.asarray(self.s(q), dtype=float)
-        return self._tables["spline"](q)
+        edges, s_edges = self._tables["edges"], self._tables["s_edges"]
+        if np.any(q < edges[0]) or np.any(q > edges[-1]):
+            raise DomainError(f"q outside the tabulated range [{edges[0]:g}, {edges[-1]:g}]")
+        # the table up to the left edge of q's cell, then the partial cell
+        flat = q.ravel()
+        cell = np.minimum(np.searchsorted(edges, flat, side="right") - 1, edges.size - 2)
+        left = edges[cell]
+        return (s_edges[cell] + self._gauss_legendre(left, flat - left)).reshape(q.shape)
 
     def arclength_inverse(self, sigma):
         sigma = np.asarray(sigma, dtype=float)
@@ -129,9 +135,8 @@ class Metric1D:
         if np.any(sigma < s_edges[0]) or np.any(sigma > s_edges[-1]):
             raise DomainError("arclength value outside the tabulated range")
         x = np.interp(sigma, s_edges, edges)
-        spline = self._tables["spline"]
         for _ in range(4):
-            x = x - (spline(x) - sigma) / np.sqrt(np.asarray(self.g(x), dtype=float))
+            x = x - (self.arclength(x) - sigma) / np.sqrt(np.asarray(self.g(x), dtype=float))
             x = np.clip(x, edges[0], edges[-1])
         return x
 
@@ -169,9 +174,75 @@ def metric_circle(circumference: float = 1.0) -> Metric1D:
                     lo=0.0, hi=circumference, circumference=circumference)
 
 
+def _knots(x: np.ndarray) -> np.ndarray:
+    """FITPACK's knots of the s = 0 quintic interpolant: each end 6 times, x[3:-3] between."""
+    return np.concatenate([np.repeat(x[0], 6), x[3:-3], np.repeat(x[-1], 6)])
+
+
+def _bsplines(t: np.ndarray, x: np.ndarray):
+    """The knot interval l of each x, clamped to the knots' span, and the six
+    quintic B-splines B_{l-5}, ..., B_l that are nonzero there, as rows, by
+    de Boor's recursion in the order of FITPACK's ``fpbspl``."""
+    x = np.clip(x, t[5], t[-6])
+    l = np.clip(np.searchsorted(t, x, side="right") - 1, 5, t.size - 7)
+    near = t[np.arange(-4, 6)[:, None] + l]  # t[l - 4], ..., t[l + 5]
+    b = np.ones((1, x.size))
+    for j in range(1, 6):
+        right, left = near[5:5 + j], near[5 - j:5]
+        f = b / (right - left)
+        b = np.zeros((j + 1, x.size))
+        b[:j] = f * (right - x)
+        b[1:] += f * (x - left)
+    return l, b
+
+
+class _QuinticSpline:
+    """The quintic tensor-product interpolant of samples on a rectangular grid.
+
+    It is FITPACK's (``RectBivariateSpline`` with ``kx = ky = 5``, s = 0),
+    reproduced in numpy: the knots of :func:`_knots` on both axes, the
+    complex coefficients from one collocation solve per axis, and each
+    value the 6 x 6 window of coefficients around the point weighted by
+    the B-splines of :func:`_bsplines`.  Evaluation is pointwise, and
+    points beyond the grid read its nearest edge.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, values: np.ndarray):
+        if min(x.size, y.size) < 6:
+            raise GridError("a quintic interpolant needs at least 6 points per axis")
+        self.tx, self.ty = _knots(x), _knots(y)
+        coef = np.linalg.solve(self._collocation(self.tx, x), values)
+        self.coef = np.linalg.solve(self._collocation(self.ty, y), coef.T).T
+
+    @staticmethod
+    def _collocation(t, x):
+        # a[i, c] = B_c(x_i), the basis of the interpolation conditions
+        l, b = _bsplines(t, x)
+        a = np.zeros((x.size, x.size))
+        a[np.arange(x.size), l + np.arange(-5, 1)[:, None]] = b
+        return a
+
+    def __call__(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        lq, bq = _bsplines(self.tx, q)
+        lv, bv = _bsplines(self.ty, v)
+        ny = self.coef.shape[1]
+        # flat indices of coef[lq - 5, lv - 5 + c], c = 0..5, one row per c
+        window = (lq - 5) * ny + (lv - 5) + np.arange(6)[:, None]
+        flat = self.coef.ravel()
+        out = np.zeros(q.size, dtype=self.coef.dtype)
+        for r in range(6):
+            out += bq[r] * (flat.take(window + r * ny) * bv).sum(axis=0)
+        return out
+
+
 @dataclass(frozen=True)
 class FiberSymbol:
-    """Samples of ft(q, v) on base x fiber grids, with compact-support data."""
+    """Samples of ft(q, v) on base x fiber grids, with compact-support data.
+
+    Off grid a symbol is read from its closed form ``symbol`` where there
+    is one, else from the quintic interpolant of its samples
+    (:class:`_QuinticSpline`, FITPACK's interpolant reproduced in numpy).
+    """
 
     base: Grid1D
     fiber: Grid1D
@@ -188,25 +259,20 @@ class FiberSymbol:
 
     @cached_property
     def _spline(self):
-        return tuple(RectBivariateSpline(self.base.points, self.fiber.points, part, kx=5, ky=5)
-                     for part in (self.values.real, self.values.imag))
+        return _QuinticSpline(self.base.points, self.fiber.points, self.values)
 
     def evaluate(self, q, v):
         """Evaluate at scattered points; zero outside the support radius.
 
         Only points with ``|v| <= support_radius`` are evaluated (closed
-        form, else the spline pair, built once per symbol); both are
-        pointwise, so this equals evaluating everywhere and masking.
+        form, else the spline, built once per symbol); both are pointwise,
+        so this equals evaluating everywhere and masking.
         """
         q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
         inside = np.abs(v) <= self.support_radius
         q, v = q[inside], v[inside]
         out = np.zeros(inside.shape, dtype=complex)
-        if self.symbol is not None:
-            out[inside] = self.symbol(q, v)
-        else:
-            re, im = self._spline
-            out[inside] = re.ev(q, v) + 1j * im.ev(q, v)
+        out[inside] = self._spline(q, v) if self.symbol is None else self.symbol(q, v)
         return out
 
 

@@ -74,7 +74,6 @@ __all__ = [
     "poisson_torus",
     "dirac_identity_check",
     "sin_cos_anomaly",
-    "inner_product",
 ]
 
 #: Default cap on the y-polynomial degree of sections.
@@ -323,24 +322,3 @@ def sin_cos_anomaly(N: int, probe_range: int, pair: str = "x",
     ss, cc, one = _aligned(_apply(s, _apply(s, phi, N, cap), N, cap),
                            _apply(c, _apply(c, phi, N, cap), N, cap), phi)
     return {"growth": _sup(ss + cc - one)}
-
-
-def _moment(d: int, b: int) -> complex:
-    # exact integral of y^d e^{2 pi i b y} over [0, 1], integer b
-    if b == 0:
-        return 1.0 / (d + 1)
-    if d == 0:
-        return 0.0
-    # integration by parts; e^{2 pi i b} = 1 for integer b
-    return (1.0 - d * _moment(d - 1, b)) / (2j * np.pi * b)
-
-
-def inner_product(phi: TrigSection, psi: TrigSection) -> complex:
-    """Exact torus inner product <phi, psi> = int conj(phi) psi dx dy."""
-    total = 0.0 + 0.0j
-    for (a1, b1, d1), c1 in phi.terms.items():
-        for (a2, b2, d2), c2 in psi.terms.items():
-            if a1 != a2:
-                continue
-            total += np.conj(c1) * c2 * _moment(d1 + d2, b2 - b1)
-    return complex(total)

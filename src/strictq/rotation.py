@@ -56,8 +56,6 @@ __all__ = [
     "quantize_torus",
     "poisson_torus",
     "dirac_defect",
-    "multiplication_action",
-    "translation_action",
     "center_check",
 ]
 
@@ -284,32 +282,6 @@ def dirac_defect(m: int, n: int, N: int, K: int = 1) -> dict:
     qbr = quantize_torus(poisson_torus(f, g, N), N, K)
     direct = (qf @ qg - qg @ qf) - 1j * TORUS_HBAR * qbr
     return {"scalar": scalar, "matrix": scalar * qmn, "direct": direct}
-
-
-def multiplication_action(f, N: int) -> np.ndarray:
-    """Quantization of an x-only observable: diagonal matrix of f(k/N).
-
-    Fourier-sum observables are evaluated through the same integer-mod
-    root-of-unity table as the representation matrices, so the diagonal
-    agrees with ``quantize_torus`` bit for bit.
-    """
-    k = np.arange(N)
-    if isinstance(f, RotAlgElement):
-        if any(kk != 0 for (_, kk) in f.terms):
-            raise ValueError("multiplication_action needs an observable depending on x only")
-        roots = np.exp(2j * np.pi * np.arange(N) / N)
-        values = np.zeros(N, dtype=complex)
-        for (m, _), c in f.terms.items():
-            values += c * roots[(m * k) % N]
-    else:
-        values = f(k / N)
-    return np.diag(np.asarray(values, dtype=complex))
-
-
-def translation_action(n: int, N: int) -> np.ndarray:
-    """Unitary translation operator: basis vector k goes to k - n mod N."""
-    rep = rep_matrices(N, 1)
-    return _u_pow_v_pow(rep, 0, n)
 
 
 def center_check(m: int, k: int, N: int, K: int = 1) -> dict:

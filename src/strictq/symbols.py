@@ -9,15 +9,14 @@ small algebra required: sums, products, complex conjugation and the
 canonical bracket.  The derivative closures follow the product rule, so
 the resulting oracles are exact wherever the inputs are.
 
-The test corpus is built from Gaussians and smoothly windowed coordinate
-functions, both of which have elementary derivatives; the constructors
-here supply them.
+Gaussians have elementary derivatives; :func:`gaussian_field` supplies
+them.  The windowed coordinate functions of the tests are built from
+this algebra in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .gaussian import GaussianObservable, gaussian_symbol
 
@@ -25,8 +24,6 @@ __all__ = [
     "SymbolField",
     "gaussian_field",
     "constant_field",
-    "window_field",
-    "coordinate_field",
     "poisson_field",
 ]
 
@@ -106,49 +103,6 @@ def gaussian_field(g: GaussianObservable) -> SymbolField:
         lambda q, p: -(q - g.q0) / g.alpha * f(q, p),
         lambda q, p: -(p - g.p0) / g.beta * f(q, p),
     )
-
-
-def _erf_window(half_width: float, edge: float):
-    # smooth plateau: 1 inside |t| < half_width, rolling off over ~edge
-    def w(t):
-        return 0.5 * (erf((t + half_width) / edge) - erf((t - half_width) / edge))
-
-    def dw(t):
-        norm = 1.0 / (edge * np.sqrt(np.pi))
-        return norm * (
-            np.exp(-((t + half_width) / edge) ** 2)
-            - np.exp(-((t - half_width) / edge) ** 2)
-        )
-
-    return w, dw
-
-
-def window_field(half_width: float = 6.0, edge: float = 0.8) -> SymbolField:
-    """Smooth plateau window w(q) w(p), identically 1 deep in the interior."""
-    w, dw = _erf_window(half_width, edge)
-    return SymbolField(
-        lambda q, p: w(q) * w(p),
-        lambda q, p: dw(q) * w(p),
-        lambda q, p: w(q) * dw(p),
-    )
-
-
-def coordinate_field(which: str, half_width: float = 6.0, edge: float = 0.8) -> SymbolField:
-    """Windowed coordinate function q*w or p*w (Schwartz-type surrogate for q, p)."""
-    w, dw = _erf_window(half_width, edge)
-    if which == "q":
-        return SymbolField(
-            lambda q, p: q * w(q) * w(p),
-            lambda q, p: (w(q) + q * dw(q)) * w(p),
-            lambda q, p: q * w(q) * dw(p),
-        )
-    if which == "p":
-        return SymbolField(
-            lambda q, p: p * w(q) * w(p),
-            lambda q, p: p * dw(q) * w(p),
-            lambda q, p: (w(p) + p * dw(p)) * w(q),
-        )
-    raise ValueError(f"which must be 'q' or 'p', got {which!r}")
 
 
 def poisson_field(f: SymbolField, g: SymbolField) -> SymbolField:

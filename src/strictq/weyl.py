@@ -71,7 +71,10 @@ of a dense O(n^3) phase product:
   symbols are exactly Hermitian, as the dense product made them, and
   :func:`op_norm` keeps choosing its Hermitian solver for their differences;
 * rows are transformed in blocks of ``_CZT_BLOCK`` rows, the tasks of
-  the lanes.
+  the lanes;
+* the FFTs are ``numpy.fft``'s, done in place (``out=``), at padded
+  lengths from :func:`_fast_len`, the smallest 2, 3, 5, 7, 11-smooth
+  integer no shorter than the linear convolution.
 
 Lanes.  The blocks of one transform run at the same time on its lanes, one
 per CPU in the process's affinity set: the calling thread and helper
@@ -90,9 +93,9 @@ dequantization and the tangent-boundary check all reach the lanes through
 
 Dense solves.  :func:`op_norm` takes ``eigvalsh`` and ``svdvals`` from
 ``numpy.linalg``, on the OpenBLAS that also runs the ``@`` of
-:func:`compose` and :func:`apply`.  scipy ships a second OpenBLAS with
-its own thread pool, and a solve on it would wait behind the threads that
-numpy's last call left spinning, and the other way round; so every
+:func:`compose` and :func:`apply`.  The package imports no scipy module,
+so scipy's second OpenBLAS, whose thread pool would wait behind the
+threads that numpy's last call left spinning, is never loaded: every
 dense solve runs on the one pool.
 """
 
@@ -104,8 +107,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.fft import fft, fft2, ifft
 from numpy.linalg import eigvalsh, svdvals
-from scipy.fft import fft, fft2, ifft, next_fast_len
 
 from .core import (
     DECAY_TOL,
@@ -359,6 +362,18 @@ def _scatter(flat, a0, below, above, n):
             flat[start:start + (last - first) // 2 * step + 1:step] = above[k, last:first - 1:-2]
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2, 3, 5, 7, 11-smooth integer >= n: a fast padded FFT length."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 class _Bluestein:
     """A Bluestein chirp-z transform between two runs of consecutive integers.
 
@@ -374,7 +389,7 @@ class _Bluestein:
 
     def __init__(self, theta, j, s, pre, post):
         self.n_in, self.n_out = len(j), len(s)
-        self.size = next_fast_len(self.n_in + self.n_out - 1)
+        self.size = _fast_len(self.n_in + self.n_out - 1)
         self.pre = pre * np.exp(0.5j * theta * (j * j))
         self.post = post * np.exp(0.5j * theta * (s * s))
         lags = np.arange(1 - self.n_in, self.n_out)
@@ -387,9 +402,9 @@ class _Bluestein:
         conv = work[:x.shape[0] * self.size].reshape(x.shape[0], self.size)
         np.multiply(x, self.pre, out=conv[:, :self.n_in])
         conv[:, self.n_in:] = 0.0
-        conv = fft(conv, axis=1, overwrite_x=True)
+        fft(conv, axis=1, out=conv)
         conv *= self.spectrum
-        conv = ifft(conv, axis=1, overwrite_x=True)
+        ifft(conv, axis=1, out=conv)
         np.multiply(conv[:, :self.n_out], self.post, out=out)
 
 
@@ -487,8 +502,8 @@ def _coefficient_table(matrix: np.ndarray, index: np.ndarray | None = None) -> n
         spec = np.concatenate([spec.ravel(), spec[:, h], spec[h], spec[h, h:h + 1]])
     table = np.bincount(_sum_difference_index(n) if index is None else index,
                         spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
-    return ifft(table.view(complex).reshape(n, 2 * n + 1), axis=0, norm="forward",
-                overwrite_x=True)
+    table = table.view(complex).reshape(n, 2 * n + 1)
+    return ifft(table, axis=0, norm="forward", out=table)
 
 
 class _Chart:

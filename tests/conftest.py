@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import erf
 
 from strictq.core import Grid1D, Grid2D, sample
-from strictq.gaussian import GaussianObservable
-from strictq.symbols import gaussian_field
+from strictq.gaussian import GaussianObservable, gaussian_kernel_closed_form, psi_sigma_vector
+from strictq.symbols import SymbolField, gaussian_field
 
 # property tests draw the same examples on every run and write no example
 # database; some examples build dense oracles, so no per-example deadline
@@ -40,6 +41,59 @@ def random_gaussians(seed, count, spread=1.0):
 
 def sampled_gaussian(obs, grid):
     return sample(gaussian_field(obs), grid)
+
+
+def expectation_quadrature(g: GaussianObservable, sigma: float, hbar: float,
+                           qgrid: Grid1D) -> float:
+    """Brute-force double integral of ``<psi_sigma, Q(f) psi_sigma>``, the
+    independent oracle of the closed-form expectation."""
+    kernel = gaussian_kernel_closed_form(g, hbar, qgrid)
+    psi = psi_sigma_vector(g, sigma, hbar, qgrid).values
+    val = np.conj(psi) @ kernel.matrix @ psi * qgrid.delta**2
+    return float(val.real)
+
+
+def _erf_window(half_width: float, edge: float):
+    # smooth plateau: 1 inside |t| < half_width, rolling off over ~edge
+    def w(t):
+        return 0.5 * (erf((t + half_width) / edge) - erf((t - half_width) / edge))
+
+    def dw(t):
+        norm = 1.0 / (edge * np.sqrt(np.pi))
+        return norm * (
+            np.exp(-((t + half_width) / edge) ** 2)
+            - np.exp(-((t - half_width) / edge) ** 2)
+        )
+
+    return w, dw
+
+
+def window_field(half_width: float = 6.0, edge: float = 0.8) -> SymbolField:
+    """Smooth plateau window w(q) w(p), identically 1 deep in the interior."""
+    w, dw = _erf_window(half_width, edge)
+    return SymbolField(
+        lambda q, p: w(q) * w(p),
+        lambda q, p: dw(q) * w(p),
+        lambda q, p: w(q) * dw(p),
+    )
+
+
+def coordinate_field(which: str, half_width: float = 6.0, edge: float = 0.8) -> SymbolField:
+    """Windowed coordinate function q*w or p*w (Schwartz-type surrogate for q, p)."""
+    w, dw = _erf_window(half_width, edge)
+    if which == "q":
+        return SymbolField(
+            lambda q, p: q * w(q) * w(p),
+            lambda q, p: (w(q) + q * dw(q)) * w(p),
+            lambda q, p: q * w(q) * dw(p),
+        )
+    if which == "p":
+        return SymbolField(
+            lambda q, p: p * w(q) * w(p),
+            lambda q, p: p * dw(q) * w(p),
+            lambda q, p: (w(p) + p * dw(p)) * w(q),
+        )
+    raise ValueError(f"which must be 'q' or 'p', got {which!r}")
 
 
 def spectral_derivative(values, axis, delta):

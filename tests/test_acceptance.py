@@ -13,7 +13,6 @@ from strictq.core import Grid1D, Grid2D, HbarSchedule, fourier_fiber, quadrature
 from strictq.gaussian import (
     GaussianObservable,
     expectation_closed_form,
-    expectation_quadrature,
     positivity_intermediates,
     positivity_verdict,
 )
@@ -25,7 +24,7 @@ from strictq import rotation as rot
 from strictq.groupoid import KernelFamily, canonical_family, tangent_boundary_check, wm_correspondence
 from strictq.weyl import OperatorKernel, hs_norm, op_norm, weyl_kernel
 
-from conftest import random_gaussians, sampled_gaussian
+from conftest import expectation_quadrature, random_gaussians, sampled_gaussian
 
 
 def report(index, passed, detail):
@@ -206,7 +205,7 @@ def test_criterion_08_groupoid_correspondence():
     results = {}
     ok = True
     for hbar in (1.0, 0.5):
-        res = wm_correspondence(f, hbar)
+        res = wm_correspondence(f, weyl_kernel(f, hbar, axis))
         results[hbar] = res["defect"] / res["weyl_norm"]
         ok = ok and res["defect"] <= 1e-5 * res["weyl_norm"]
     report(8, ok,

@@ -16,10 +16,10 @@ from strictq.asymptotics import (
 from strictq.cli import AXIOM_LABELS
 from strictq.core import Grid1D, Grid2D, HbarSchedule, sample
 from strictq.gaussian import GaussianObservable
-from strictq.symbols import coordinate_field, gaussian_field, poisson_field, window_field
+from strictq.symbols import gaussian_field, poisson_field
 from strictq.weyl import OperatorKernel, op_norm, star_product, weyl_kernel
 
-from conftest import random_gaussians, sampled_gaussian
+from conftest import coordinate_field, random_gaussians, sampled_gaussian, window_field
 
 AXIS = Grid1D(-6.0, 6.0, 384)
 GRID = Grid2D(AXIS, AXIS)

@@ -396,6 +396,22 @@ def test_groupoid_report(tmp_path, capsys):
     assert data["config"]["warnings"] == []
 
 
+def test_groupoid_builds_one_weyl_kernel_per_hbar(tmp_path, monkeypatch):
+    # the correspondence and the boundary sections share each hbar's Q(f)
+    built = []
+    weyl_kernel = strictq.groupoid.weyl_kernel
+
+    def counting(f, hbar, qgrid):
+        built.append(hbar)
+        return weyl_kernel(f, hbar, qgrid)
+
+    monkeypatch.setattr(strictq.groupoid, "weyl_kernel", counting)
+    out = tmp_path / "gp.json"
+    assert run(["groupoid", "--n", "192", "--hbar-count", "3", "--out", str(out)]) == 0
+    assert built == [1.0, 0.5, 0.25]
+    assert [row[0] for row in read_json(out)["rows"]] == built * 2
+
+
 def test_groupoid_report_names_decay_warnings(tmp_path, capsys):
     # on a box of +-4 the observable has not decayed at the p-boundary, and
     # its groupoid element has not decayed where the shear wraps the x-box:

@@ -20,7 +20,7 @@ from strictq.core import _fiber_phase
 from strictq.gaussian import GaussianObservable, gaussian_symbol
 from strictq.symbols import gaussian_field
 
-from conftest import random_gaussians, sampled_gaussian, spectral_derivative
+from conftest import coordinate_field, random_gaussians, sampled_gaussian, spectral_derivative
 
 
 def inverse_fourier_fiber(ft, paxis):
@@ -208,8 +208,6 @@ def test_poisson_self_bracket_vanishes(box16):
 
 
 def test_poisson_windowed_coordinates(box16):
-    from strictq.symbols import coordinate_field
-
     f = sample(coordinate_field("q"), box16)
     g = sample(coordinate_field("p"), box16)
     pb = poisson_bracket(f, g)

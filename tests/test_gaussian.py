@@ -11,7 +11,6 @@ from strictq.gaussian import (
     GaussianObservable,
     chi_vector,
     expectation_closed_form,
-    expectation_quadrature,
     gaussian_kernel_closed_form,
     gaussian_symbol,
     positivity_intermediates,
@@ -20,7 +19,7 @@ from strictq.gaussian import (
 )
 from strictq.weyl import op_norm, star_product, weyl_kernel
 
-from conftest import sampled_gaussian
+from conftest import expectation_quadrature, sampled_gaussian
 
 QGRID = Grid1D(-20.0, 20.0, 1024)
 

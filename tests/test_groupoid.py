@@ -221,7 +221,7 @@ def test_wm_correspondence(hbar):
     axis = Grid1D(-12.0, 12.0, 384)
     grid = Grid2D(axis, axis)
     f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
-    res = wm_correspondence(f, hbar)
+    res = wm_correspondence(f, weyl_kernel(f, hbar, axis))
     assert res["defect"] <= 1e-5 * res["weyl_norm"]
     assert res["rep"].warnings == res["weyl"].warnings == ()
 
@@ -233,7 +233,7 @@ def test_wrapped_shear_warns():
     # shears too and warns the same way
     grid = Grid2D(Grid1D(-12.0, 12.0, 128), Grid1D(-12.0, 12.0, 64))
     f = sampled_gaussian(GaussianObservable(-1.0, 0.0, 2.0, 0.5), grid)
-    res = wm_correspondence(f, 2.0)
+    res = wm_correspondence(f, weyl_kernel(f, 2.0, grid.qaxis))
     wrapped = ("sheared content 2.08e-07 where the shift wraps the x-box",)
     assert res["fhat"].warnings == res["rep"].warnings == wrapped
     assert fiber_hat(f, 1.0).warnings == ()
@@ -247,8 +247,15 @@ def test_wm_correspondence_zero():
     axis = Grid1D(-12.0, 12.0, 256)
     grid = Grid2D(axis, axis)
     f = sample(gaussian_field(GaussianObservable()) * 0.0, grid)
-    res = wm_correspondence(f, 0.5)
+    res = wm_correspondence(f, weyl_kernel(f, 0.5, axis))
     assert res["defect"] == 0.0
+
+
+def test_wm_correspondence_needs_kernel_on_f_axis():
+    axis = Grid1D(-12.0, 12.0, 128)
+    f = sampled_gaussian(GaussianObservable(), Grid2D(axis, axis))
+    with pytest.raises(GridError, match="position axis"):
+        wm_correspondence(f, weyl_kernel(f, 0.5, Grid1D(-10.0, 10.0, 128)))
 
 
 def test_wm_correspondence_grid_refinement_stable():
@@ -257,7 +264,7 @@ def test_wm_correspondence_grid_refinement_stable():
         axis = Grid1D(-12.0, 12.0, n)
         grid = Grid2D(axis, axis)
         f = sampled_gaussian(GaussianObservable(0.2, -0.3, 1.0, 0.8), grid)
-        defects.append(wm_correspondence(f, 0.5)["defect"])
+        defects.append(wm_correspondence(f, weyl_kernel(f, 0.5, axis))["defect"])
     assert defects[1] < 10 * max(defects[0], 1e-12)
 
 

@@ -1,6 +1,6 @@
 """No module of the package or of the tests imports a name that it never uses,
-no function of the package imports anything, and the package never imports
-``scipy.linalg``.
+no function of the package imports anything, and the package imports no
+scipy module at all.
 
 Each ``src/strictq/*.py`` and ``tests/*.py`` file is parsed with ``ast``.
 A name bound by an import counts as used when the file reads it anywhere
@@ -10,13 +10,20 @@ side effect, marked ``# noqa: F401`` on its line with the reason.  The
 package imports at module level only, so a module's dependencies are
 read off its head.
 
-numpy and scipy each ship their own OpenBLAS, with its own thread pool.
-``@`` always runs on numpy's, so the package takes its dense solves from
-``numpy.linalg`` too: a solve on scipy's pool would wait behind the
-threads that numpy's last product left spinning, and the other way round.
+The package runs on numpy alone: its FFTs are ``numpy.fft``'s, its dense
+solves ``numpy.linalg``'s and its spline a numpy reproduction of
+FITPACK's.  scipy stays a test dependency, the independent oracle of
+those pieces.  Importing it would cost the command line most of its
+start-up time and load scipy's own OpenBLAS, whose thread pool would
+wait behind the threads of numpy's, and the other way round.  A fresh
+interpreter that imports ``strictq.cli`` is checked to hold no
+``scipy`` module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,18 +64,17 @@ def function_imports(source: str) -> list:
     return found
 
 
-def scipy_linalg_imports(source: str) -> list:
-    """``line n`` for every import of ``scipy.linalg`` or of a name from it."""
+def scipy_imports(source: str) -> list:
+    """``line n`` for every import of ``scipy``, of a submodule or of a name from one."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""] + [
-                f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
         else:
             continue
-        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
             found.append(f"line {node.lineno}")
     return found
 
@@ -87,12 +93,15 @@ def test_scanner_on_known_source():
     )
     assert unused_imports(source) == ["js (line 3)", "euler (line 5)", "tau (line 8)"]
     assert function_imports(source) == ["f (line 8)"]
-    linalg = ("import scipy.linalg\n"
-              "from scipy import linalg\n"
-              "from scipy.linalg import svdvals\n"
-              "from scipy.fft import fft\n"
-              "import scipy\n")
-    assert scipy_linalg_imports(linalg) == ["line 1", "line 2", "line 3"]
+    scipy = ("import scipy.linalg\n"
+             "from scipy import linalg\n"
+             "from scipy.linalg import svdvals\n"
+             "from scipy.fft import fft\n"
+             "import numpy, scipy as sc\n"
+             "import scipyx\n"
+             "from .scipy import fft\n"
+             "from numpy.fft import fft\n")
+    assert scipy_imports(scipy) == ["line 1", "line 2", "line 3", "line 4", "line 5"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -105,6 +114,17 @@ def test_no_imports_inside_functions(path):
     assert function_imports(path.read_text()) == []
 
 
+# the name is kept from when only scipy.linalg was refused; it refuses any scipy import
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_scipy_linalg(path):
-    assert scipy_linalg_imports(path.read_text()) == []
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, strictq.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

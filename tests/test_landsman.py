@@ -3,8 +3,9 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import eigh
 
+import strictq.landsman as landsman_mod
 from strictq.asymptotics import jordan, quantum_bracket
-from strictq.core import Grid1D, Grid2D, fourier_fiber as flat_fiber, sample
+from strictq.core import Grid1D, Grid2D, GridError, fourier_fiber as flat_fiber, sample
 from strictq.gaussian import GaussianObservable
 from strictq.landsman import (
     AdmissibilityError,
@@ -75,9 +76,8 @@ def whole_grid_then_masked(fsym, q, v):
     if fsym.symbol is not None:
         out = np.asarray(fsym.symbol(q, v), dtype=complex)
     else:
-        re, im = (RectBivariateSpline(fsym.base.points, fsym.fiber.points, part, kx=5, ky=5)
-                  for part in (fsym.values.real, fsym.values.imag))
-        out = (re.ev(q.ravel(), v.ravel()) + 1j * im.ev(q.ravel(), v.ravel())).reshape(q.shape)
+        spline = landsman_mod._QuinticSpline(fsym.base.points, fsym.fiber.points, fsym.values)
+        out = spline(q.ravel(), v.ravel()).reshape(q.shape)
     return np.where(np.abs(v) <= fsym.support_radius, out, 0.0)
 
 
@@ -107,24 +107,48 @@ def test_evaluate_only_inside_support_is_bit_identical(closed_form):
 
 
 def test_spline_built_once_per_symbol(monkeypatch):
-    import strictq.landsman as landsman_mod
-
     built = []
+    spline = landsman_mod._QuinticSpline
 
     def counting(*args, **kwargs):
         built.append(args)
-        return RectBivariateSpline(*args, **kwargs)
+        return spline(*args, **kwargs)
 
-    monkeypatch.setattr(landsman_mod, "RectBivariateSpline", counting)
+    monkeypatch.setattr(landsman_mod, "_QuinticSpline", counting)
     base, grid, fA, fB, sA, sB = exp2q_setup(64)
     fsym = fiber_fourier(fA, EXP2Q)
     hbar = 0.5 * hbar_admissible(fsym, EXP2Q)
     for h in (hbar, hbar / 2):
         landsman_kernel(fsym, h, EXP2Q)
     fsym.evaluate(0.1, 0.0)
-    assert len(built) == 2
+    assert len(built) == 1
     fiber_fourier(fB, EXP2Q).evaluate(0.1, 0.0)
-    assert len(built) == 4
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("n", [96, 384])
+def test_spline_is_fitpacks_interpolant(n):
+    # FITPACK's s = 0 quintic interpolant (RectBivariateSpline) is the oracle:
+    # the same knots, and the same values at the chart points of the exp2q
+    # bracket kernel (n = 384 is the default exp2q grid), at the grid nodes
+    # and beyond the grid, where both read the nearest edge
+    base, grid, fA, fB, sA, sB = exp2q_setup(n)
+    fsym = fiber_fourier(sample(poisson_field(fA.symbol, fB.symbol), grid), EXP2Q)
+    spline = landsman_mod._QuinticSpline(fsym.base.points, fsym.fiber.points, fsym.values)
+    re, im = (RectBivariateSpline(fsym.base.points, fsym.fiber.points, part, kx=5, ky=5)
+              for part in (fsym.values.real, fsym.values.imag))
+    assert np.array_equal(spline.tx, re.get_knots()[0])
+    assert np.array_equal(spline.ty, re.get_knots()[1])
+    x = base.points
+    q, X = phi_hbar_inverse(x[:, None], x[None, :], 0.9 * hbar_admissible(fsym, EXP2Q), EXP2Q)
+    inside = np.abs(X) <= fsym.support_radius
+    nodes_q, nodes_v = np.meshgrid(x, fsym.fiber.points, indexing="ij")
+    for q, v in ((q[inside], X[inside]), (nodes_q.ravel(), nodes_v.ravel()),
+                 (np.array([-3.0, 2.5, 0.3]), np.array([0.2, -20.0, 40.0]))):
+        want = re.ev(q, v) + 1j * im.ev(q, v)
+        assert np.max(np.abs(spline(q, v) - want)) <= 1e-13 * np.max(np.abs(fsym.values))
+    with pytest.raises(GridError, match="at least 6 points"):
+        landsman_mod._QuinticSpline(np.arange(5.0), np.arange(8.0), np.zeros((5, 8)))
 
 
 # ----------------------------------------------------------- geodesic charts
@@ -166,6 +190,17 @@ def test_numeric_arclength_agrees_with_closed_form():
     want = np.exp(qs) - np.exp(-4.0)
     assert np.max(np.abs(num.arclength(qs) - want)) < 1e-12
     assert np.max(np.abs(num.arclength_inverse(num.arclength(qs)) - qs)) < 1e-12
+    # the ends of the table, and points off the cell edges
+    ends = np.array([-4.0, 4.0, -3.9999, 3.9999, 0.12345])
+    assert np.max(np.abs(num.arclength(ends) - (np.exp(ends) - np.exp(-4.0)))) < 1e-12
+    assert num.arclength(1.5).shape == ()
+
+
+@pytest.mark.parametrize("q", [5.0, 6.0, -4.5, [0.0, 4.0 + 1e-9]])
+def test_numeric_arclength_refuses_to_extrapolate(q):
+    num = Metric1D(g=lambda q: np.exp(2.0 * np.asarray(q, dtype=float)), lo=-4, hi=4)
+    with pytest.raises(DomainError, match=r"outside the tabulated range \[-4, 4\]"):
+        num.arclength(q)
 
 
 # --------------------------------------------------------------- quantization

@@ -11,7 +11,6 @@ from strictq.prequant import (
     cos_x,
     cos_y,
     dirac_identity_check,
-    inner_product,
     poisson_torus,
     prequant_apply,
     sin_cos_anomaly,
@@ -345,6 +344,27 @@ def test_anomaly_constants_are_flat():
 
 
 # ------------------------------------------------------------ reality pairing
+
+def _moment(d: int, b: int) -> complex:
+    # exact integral of y^d e^{2 pi i b y} over [0, 1], integer b
+    if b == 0:
+        return 1.0 / (d + 1)
+    if d == 0:
+        return 0.0
+    # integration by parts; e^{2 pi i b} = 1 for integer b
+    return (1.0 - d * _moment(d - 1, b)) / (2j * np.pi * b)
+
+
+def inner_product(phi: TrigSection, psi: TrigSection) -> complex:
+    """Exact torus inner product <phi, psi> = int conj(phi) psi dx dy."""
+    total = 0.0 + 0.0j
+    for (a1, b1, d1), c1 in phi.terms.items():
+        for (a2, b2, d2), c2 in psi.terms.items():
+            if a1 != a2:
+                continue
+            total += np.conj(c1) * c2 * _moment(d1 + d2, b2 - b1)
+    return complex(total)
+
 
 def test_adjoint_pairing_on_periodic_sections():
     # y-polynomial terms break [0,1] periodicity (boundary terms in the

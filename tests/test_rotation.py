@@ -10,19 +10,19 @@ from numpy.testing import assert_allclose
 
 from strictq.rotation import (
     TORUS_HBAR,
+    RotAlgElement,
     _phase,
+    _u_pow_v_pow,
     center_check,
     convolve,
     dirac_defect,
     involution,
-    multiplication_action,
     poisson_torus,
     quantize_torus,
     rep_matrices,
     represent,
     rot_element,
     torus_observable,
-    translation_action,
 )
 
 
@@ -353,6 +353,31 @@ def test_poisson_torus_self_bracket_has_no_terms(terms, N):
 
 
 # ------------------------------------------------------------------ actions
+
+def multiplication_action(f, N: int) -> np.ndarray:
+    """Quantization of an x-only observable: diagonal matrix of f(k/N).
+
+    Fourier-sum observables are evaluated through the same integer-mod
+    root-of-unity table as the representation matrices, so the diagonal
+    agrees with ``quantize_torus`` bit for bit.
+    """
+    k = np.arange(N)
+    if isinstance(f, RotAlgElement):
+        if any(kk != 0 for (_, kk) in f.terms):
+            raise ValueError("multiplication_action needs an observable depending on x only")
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        values = np.zeros(N, dtype=complex)
+        for (m, _), c in f.terms.items():
+            values += c * roots[(m * k) % N]
+    else:
+        values = f(k / N)
+    return np.diag(np.asarray(values, dtype=complex))
+
+
+def translation_action(n: int, N: int) -> np.ndarray:
+    """Unitary translation operator: basis vector k goes to k - n mod N."""
+    return _u_pow_v_pow(rep_matrices(N, 1), 0, n)
+
 
 def test_multiplication_action_examples():
     assert_allclose(multiplication_action(lambda x: np.ones_like(x), 5), np.eye(5))

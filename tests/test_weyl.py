@@ -11,13 +11,14 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.fft import next_fast_len
 
 import strictq
 from strictq import weyl
 from strictq.core import Grid1D, Grid2D, quadrature, sample, trig_shift
 from strictq.gaussian import GaussianObservable, chi_vector
 from strictq.groupoid import canonical_family, tangent_boundary_check
-from strictq.symbols import coordinate_field, gaussian_field, window_field
+from strictq.symbols import gaussian_field
 from strictq.weyl import (
     AccuracyError,
     AliasingError,
@@ -34,9 +35,10 @@ from strictq.weyl import (
     star_product,
     weyl_kernel,
 )
-from strictq.weyl import _Bluestein, _Chart, _chirp_z, _midpoints
+from strictq.weyl import _Bluestein, _Chart, _chirp_z, _fast_len, _midpoints
 
-from conftest import random_gaussians, sampled_gaussian, spectral_derivative
+from conftest import (coordinate_field, random_gaussians, sampled_gaussian, spectral_derivative,
+                      window_field)
 
 
 def identity_kernel(grid, hbar=1.0):
@@ -362,6 +364,12 @@ def test_position_momentum_consistency(box16):
 
 
 # --------------------------------------------- chirp-z against dense oracle
+
+def test_fast_len_is_scipys_next_fast_len():
+    # so every chirp-z transform pads to the length it had on scipy.fft
+    assert [_fast_len(n) for n in range(1, 20001)] == [
+        next_fast_len(n) for n in range(1, 20001)]
+
 
 def oracle_gather_table(table, n):
     """``K[i, j] = table[i + j, i - j + n - 1]`` by two n x n fancy-index arrays."""
