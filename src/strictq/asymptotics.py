@@ -24,9 +24,15 @@ from AB, and each report is named by one label, its ``axiom``:
   Poisson bracket, where the commutator
   (f * g - g * f) / (i hbar) = 2 Im(f * g) / hbar is exactly real.
 
-Q({f, g}) and Q(fg) are built one at a time and released, as are Q(f)
-and Q(g), before AB is dequantized, so AB is the only product the pass
-keeps across the steps of one hbar.  Observables whose Q(f) or Q(g) is
+Memory.  f, g, fg and {f, g} are real, so their samples are float64
+(:func:`strictq.core.sample`).  Q({f, g}) and Q(fg) are built one at a
+time and released, as are Q(f) and Q(g), before AB is dequantized, so AB
+is the only product the pass keeps across the steps of one hbar.  Each
+defect is formed in one n x n buffer beside AB and its kernel: AB*, then
+the bracket or the Jordan product, then the difference.  A step peaks in
+the dequantization of AB, which holds, besides AB and the four samples,
+the symbol f * g, the (n, 2n + 1) coefficient table of the chart and the
+lanes' workspaces.  Observables whose Q(f) or Q(g) is
 not exactly Hermitian (non-real symbols) are refused with a
 ``ValueError``; :func:`jordan` and :func:`quantum_bracket` stay generic
 and compose both orders.
@@ -63,7 +69,6 @@ from .core import (
 from .symbols import SymbolField, poisson_field
 from .weyl import (
     OperatorKernel,
-    adjoint,
     compose,
     dequantize,
     hbar_floor,
@@ -133,10 +138,21 @@ def quantum_bracket(a: OperatorKernel, b: OperatorKernel, hbar: float) -> Operat
     return _bracket_of(compose(a, b), compose(b, a), hbar)
 
 
-def _defect(exact: OperatorKernel, approx: OperatorKernel) -> float:
-    """Operator norm of ``exact - approx``."""
-    return op_norm(OperatorKernel(
-        grid=exact.grid, matrix=exact.matrix - approx.matrix, hbar=exact.hbar))
+def _defect(exact: OperatorKernel, ab: OperatorKernel, hbar: float | None = None) -> float:
+    """Operator norm of ``exact`` minus the quantum bracket (AB - AB*)/(i hbar)
+    of AB, or minus its Jordan product (AB + AB*)/2 when no hbar is given.
+
+    Both are formed in one n x n buffer: it takes AB*, then the ufuncs of
+    :func:`_bracket_of` or :func:`_jordan_of` in their order, then the
+    difference, so the defect is that of the separate arrays bit for bit.
+    """
+    buf = np.conjugate(ab.matrix.T)
+    if hbar is None:
+        np.multiply(0.5, np.add(ab.matrix, buf, out=buf), out=buf)
+    else:
+        np.divide(np.subtract(ab.matrix, buf, out=buf), 1j * hbar, out=buf)
+    np.subtract(exact.matrix, buf, out=buf)
+    return op_norm(OperatorKernel(grid=exact.grid, matrix=buf, hbar=exact.hbar))
 
 
 def clip_schedule(f: SampledFunction, schedule: HbarSchedule, *notes: str):
@@ -235,16 +251,15 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
         record_warnings(seen_norm, hbar, ka)
         norms.append(op_norm(ka))
         ab = compose(ka, kb)
-        ba = adjoint(ab)
         del ka, kb
         kbr = weyl_kernel(bracket, hbar, qgrid)
         record_warnings(seen_dirac, hbar, ab, kbr)
-        dirac.append(_defect(kbr, _bracket_of(ab, ba, hbar)))
+        dirac.append(_defect(kbr, ab, hbar))
         del kbr
         kpr = weyl_kernel(product, hbar, qgrid)
         record_warnings(seen_vonneumann, hbar, ab, kpr)
-        vonneumann.append(_defect(kpr, _jordan_of(ab, ba)))
-        del kpr, ba
+        vonneumann.append(_defect(kpr, ab))
+        del kpr
         star.append(_star_step(ab, product, bracket, seen_star))
 
     hbars = clipped.values

@@ -99,7 +99,8 @@ def write_report(check: str, config: dict, columns: list, rows: list, path: str,
 
 
 def parse_gaussian_spec(spec: str) -> GaussianObservable:
-    """Parse ``gaussian:q0=..,p0=..,alpha=..,beta=..`` observable specs."""
+    """Parse ``gaussian:q0=..,p0=..,alpha=..,beta=..`` observable specs,
+    each parameter at most once and with a value."""
     name, _, rest = spec.partition(":")
     if name != "gaussian":
         raise ValueError(f"unknown symbol name {name!r} (supported: gaussian)")
@@ -109,6 +110,10 @@ def parse_gaussian_spec(spec: str) -> GaussianObservable:
             key, _, value = item.partition("=")
             if key not in ("q0", "p0", "alpha", "beta"):
                 raise ValueError(f"unknown gaussian parameter {key!r}")
+            if key in kwargs:
+                raise ValueError(f"gaussian parameter {key!r} given twice")
+            if not value.strip():
+                raise ValueError(f"gaussian parameter {key!r} has no value")
             kwargs[key] = float(value)
     return GaussianObservable(**kwargs)
 
@@ -124,10 +129,16 @@ def _schedule(args) -> HbarSchedule:
 
 
 def _sampled_specs(args):
-    """The ``--f-spec`` and ``--g-spec`` observables sampled on the grid."""
+    """The ``--f-spec`` and ``--g-spec`` observables sampled on the grid; a
+    spec that does not parse is a usage error naming its option."""
+    observables = []
+    for option, spec in (("--f-spec", args.f_spec), ("--g-spec", args.g_spec)):
+        try:
+            observables.append(parse_gaussian_spec(spec))
+        except ValueError as err:
+            raise ValueError(f"{option} {spec!r}: {err}") from None
     grid = _grid(args)
-    return [sample(gaussian_field(parse_gaussian_spec(spec)), grid)
-            for spec in (args.f_spec, args.g_spec)]
+    return [sample(gaussian_field(obs), grid) for obs in observables]
 
 
 def _report(args, columns: list, rows: list, **derived) -> None:
@@ -185,10 +196,14 @@ def cmd_positivity(args) -> int:
         side = [float(np.sqrt(r) * hbar / 2.0) for r in ratios]
         cells = [(a, a) for a in side]
     rows, failed = [], []
+    half = hbar / 2.0
     for a, b in cells:
-        verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
+        try:
+            verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
+        except weyl.AliasingError as err:
+            raise ValueError(f"--hbar {hbar:g} at alpha={a:g}, beta={b:g}: {err}") from None
         rows.append([a, b, hbar, verdict["min_eigenvalue"], float(verdict["positive"])])
-        expected = a * b >= (hbar / 2.0) ** 2 * (1.0 - 1e-12)
+        expected = a / half * (b / half) >= 1.0 - 1e-12
         if bool(verdict["positive"]) != expected:
             failed.append(f"threshold at alpha={a:g}, beta={b:g}")
     _report(args, ["alpha", "beta", "hbar", "min_eig", "positive"], rows,

@@ -116,7 +116,7 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex samples on a grid, with the defining symbol kept as an oracle.
+    """Samples on a grid, with the defining symbol kept as an oracle.
 
     ``values`` has shape ``(n,)`` on a Grid1D and ``(nq, np)`` on a
     Grid2D.  When ``symbol`` is present it must reproduce ``values`` at
@@ -182,12 +182,15 @@ def sample(symbol, grid) -> SampledFunction:
     """Evaluate ``symbol`` on every grid point and retain it as the oracle.
 
     ``symbol`` is called with broadcast coordinate arrays: ``symbol(q)``
-    on a 1-D grid and ``symbol(q, p)`` on a 2-D grid.  A non-finite
-    result anywhere raises :class:`SampleError` naming the point.
+    on a 1-D grid and ``symbol(q, p)`` on a 2-D grid.  The samples of a
+    symbol that returns real values are stored as float64, and those of
+    one that returns complex values as complex128, even where every
+    imaginary part is zero.  A non-finite result anywhere raises
+    :class:`SampleError` naming the point.
     """
     if isinstance(grid, Grid2D):
         qq, pp = grid.meshes()
-        values = np.asarray(symbol(qq, pp), dtype=complex)
+        values = _samples(symbol(qq, pp))
         bad = ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -196,12 +199,18 @@ def sample(symbol, grid) -> SampledFunction:
             )
     else:
         qq = grid.points
-        values = np.asarray(symbol(qq), dtype=complex)
+        values = _samples(symbol(qq))
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argwhere(bad)[0])
             raise SampleError(f"symbol not finite at q = {qq[i]:g}")
     return SampledFunction(grid=grid, values=values, symbol=symbol)
+
+
+def _samples(values) -> np.ndarray:
+    """``values`` as complex128 if they are complex, else as float64."""
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float, copy=False)
 
 
 def quadrature(f: SampledFunction) -> complex:

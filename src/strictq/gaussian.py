@@ -6,11 +6,14 @@ The Gaussian observable centered at (q0, p0) with widths (alpha, beta),
 
 quantizes in closed form: its kernel factorizes into a rank-one part
 built from a Gaussian wave packet chi and a coupling factor carrying
-``Theta = (4 alpha beta / hbar^2 - 1)/(4 alpha)``.  The sign of Theta is
-the whole story of positivity: at ``alpha beta = (hbar/2)^2`` the kernel
-is exactly the projector onto (the conjugate of) chi; above threshold
-the coupling factor is the Fourier transform of a Gaussian measure and
-the operator is positive; below threshold the probe family
+``Theta = (4 alpha beta / hbar^2 - 1)/(4 alpha)``.  The kernel is built
+from the one exponent of that product, which stays bounded for every
+Theta, and only on a grid that resolves chi (:func:`_packet_floor`).
+The sign of Theta is the whole story of positivity: at
+``alpha beta = (hbar/2)^2`` the kernel is exactly the projector onto
+(the conjugate of) chi; above threshold the coupling factor is the
+Fourier transform of a Gaussian measure and the operator is positive;
+below threshold the probe family
 
     psi_sigma(q) = (q - q0) exp(-(q - q0)^2 / 2 sigma) exp(i p0 q / hbar)
 
@@ -36,7 +39,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .core import Grid1D
-from .weyl import OperatorKernel, WaveFunction
+from .weyl import AliasingError, OperatorKernel, WaveFunction
 
 __all__ = [
     "GaussianObservable",
@@ -69,6 +72,9 @@ class GaussianObservable:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.q0, self.p0, self.alpha, self.beta])):
+            raise ValueError(f"need finite q0, p0, alpha, beta, got {self.q0}, {self.p0}, "
+                             f"{self.alpha}, {self.beta}")
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(f"need alpha, beta > 0, got {self.alpha}, {self.beta}")
 
@@ -104,7 +110,7 @@ def chi_vector(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> WaveFunctio
         raise ValueError(f"need hbar > 0, got {hbar}")
     q = qgrid.points
     values = (
-        (2.0 * g.beta / (np.pi * hbar**2)) ** 0.25
+        (2.0 * g.beta / np.pi) ** 0.25 / np.sqrt(hbar)
         * np.exp(-((q - g.q0) ** 2) / (4.0 * g.alpha))
         * np.exp(-1j * g.p0 * (q - g.q0) / hbar)
     )
@@ -126,15 +132,54 @@ def psi_sigma_vector(
     return WaveFunction(grid=qgrid, values=values)
 
 
+def _packet_floor(g: GaussianObservable, qgrid: Grid1D) -> float:
+    """Smallest hbar at which ``qgrid`` resolves the packet chi of ``g``.
+
+    chi is a Gaussian of width ``w = sqrt(2 alpha)`` on the carrier wave
+    ``e^{-i p0 q/hbar}``; its wavenumbers ``|k + p0/hbar| <= pi/w`` must lie
+    in the grid's band ``|k| <= pi/dq``.  So w must exceed the spacing (else
+    no hbar resolves chi: ``inf``), and hbar must keep the carrier inside
+    what the envelope leaves of the band.
+    """
+    width = np.sqrt(2.0 * g.alpha)
+    if not width > qgrid.delta:
+        return np.inf
+    return abs(g.p0) / (np.pi / qgrid.delta - np.pi / width)
+
+
 def gaussian_kernel_closed_form(
     g: GaussianObservable, hbar: float, qgrid: Grid1D
 ) -> OperatorKernel:
-    """Closed-form kernel: rank-one packet part times the Theta coupling factor."""
-    chi = chi_vector(g, hbar, qgrid).values
-    q = qgrid.points
-    theta = positivity_intermediates(g, 1.0, hbar).theta
-    coupling = np.exp(-0.5 * theta * (q[:, None] - q[None, :]) ** 2)
-    matrix = np.conj(chi)[:, None] * chi[None, :] * coupling
+    """Closed-form kernel: the packet part times the Theta coupling factor,
+    from one exponent.
+
+    With ``m = (q + q')/2 - q0`` and ``d = q - q'``,
+    ``conj(chi(q)) chi(q') e^{-Theta d^2/2}`` is
+    ``sqrt(2 beta/pi)/hbar e^{-m^2/(2 alpha) - beta (d/hbar)^2/2 + i p0 d/hbar}``,
+    whose real exponent is negative definite for every alpha, beta > 0
+    whatever the sign of Theta; hbar^2 is never formed, and the kernel is
+    real when p0 = 0.  A grid that does
+    not resolve the packet (:func:`_packet_floor`) raises
+    :class:`AliasingError`.
+    """
+    if not hbar > 0:
+        raise ValueError(f"need hbar > 0, got {hbar}")
+    floor = _packet_floor(g, qgrid)
+    if not hbar >= floor:
+        why = (f"the carrier p0/hbar of the packet leaves the band of the grid spacing "
+               f"{qgrid.delta:g}; minimal usable hbar on this grid is {floor:g}")
+        if floor == np.inf:
+            why = (f"the packet of width sqrt(2 alpha) = {np.sqrt(2.0 * g.alpha):g} is "
+                   f"narrower than the grid spacing {qgrid.delta:g}; no hbar resolves it "
+                   "at this alpha")
+        raise AliasingError(f"hbar={hbar:g} unresolved: {why}", hbar_min=floor)
+    x = qgrid.points - g.q0
+    m = 0.5 * (x[:, None] + x[None, :])
+    d = (x[:, None] - x[None, :]) / hbar
+    exponent = -(m * m) / (2.0 * g.alpha) - 0.5 * g.beta * (d * d)
+    if g.p0:
+        exponent = exponent + 1j * g.p0 * d
+    matrix = np.sqrt(2.0 * g.beta / np.pi) / hbar * np.exp(exponent)
     return OperatorKernel(grid=qgrid, matrix=matrix, hbar=hbar)
 
 
@@ -157,7 +202,7 @@ def positivity_intermediates(
 def expectation_closed_form(g: GaussianObservable, sigma: float, hbar: float) -> float:
     """``<psi_sigma, Q(f) psi_sigma>`` in closed form; sign equals sign(Theta)."""
     inter = positivity_intermediates(g, sigma, hbar)
-    pref = (2.0 * g.beta / (np.pi * hbar**2)) ** 0.5
+    pref = np.sqrt(2.0 * g.beta / np.pi) / hbar
     return float(pref * 2.0 * np.pi * inter.theta / inter.dee**1.5)
 
 

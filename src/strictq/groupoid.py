@@ -69,8 +69,7 @@ from .core import (
     trig_shift,
     _fiber_phase,
 )
-from .weyl import (OperatorKernel, _Chart, _sum_difference_index, op_norm,
-                   weyl_kernel)
+from .weyl import OperatorKernel, _Chart, op_norm, weyl_kernel
 
 __all__ = [
     "GroupoidFunction",
@@ -340,7 +339,6 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
     defects, raws, windows = [], [], []
     notes = []
     seen: dict = {}
-    index = _sum_difference_index(qaxis.n)
     for hbar, kernel in zip(family.hbars, family.kernels):
         if kernel.grid != qaxis:
             raise GridError("family kernels must share the symbol's position axis")
@@ -355,7 +353,7 @@ def tangent_boundary_check(family: KernelFamily) -> BoundaryReport:
         # fiber values v_c + t dv, with integer t centred on the window
         cols = np.flatnonzero(ok)
         c = (cols[0] + cols[-1]) // 2
-        diag = _Chart(kernel.matrix, qaxis.delta, index).diagonals(
+        diag = _Chart(kernel.matrix, qaxis.delta).diagonals(
             hbar * v[c] / 2.0, hbar * vaxis.delta / 2.0, cols - c)
         gap = np.abs(hbar * diag - symbol.values[:, ok])
         defects.append(float(np.max(gap)))

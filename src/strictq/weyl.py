@@ -438,9 +438,19 @@ def op_norm(kernel: OperatorKernel) -> float:
     scale = np.max(np.abs(m))
     if scale == 0.0:
         return 0.0
-    if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
+    if _hermitian(m, 1e-13 * scale):
         return float(np.max(np.abs(eigvalsh(m)))) * kernel.grid.delta
     return float(svdvals(m)[0]) * kernel.grid.delta
+
+
+def _hermitian(m: np.ndarray, tol: float) -> bool:
+    """Whether ``|m - m^H| <= tol`` everywhere, tested over strips of
+    ``_CZT_BLOCK`` rows so that no n x n temporary is made."""
+    for r in range(0, m.shape[0], _CZT_BLOCK):
+        rows = slice(r, r + _CZT_BLOCK)
+        if not np.max(np.abs(m[rows] - m[:, rows].conj().T)) <= tol:
+            return False
+    return True
 
 
 def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
@@ -462,47 +472,54 @@ def adjoint(kernel: OperatorKernel) -> OperatorKernel:
     return replace(kernel, matrix=kernel.matrix.conj().T)
 
 
-def _sum_difference_index(n: int) -> np.ndarray:
-    """Where each 2-D Fourier coefficient lands in the (J, m) coefficient table.
+def _add_wrapped(flat, n, off, sign, base, values):
+    """``flat[J (2n + 1) + sign w_k + base] += values[k]`` for k = 0, ..., n - 1,
+    with ``J = (k + off) mod n`` and w_k the integer wavenumber of FFT index k.
+
+    Between the k where J wraps and where w_k drops by n, the slots step by
+    ``2n + 1 + sign``: so the adds are at most three strided slices.
+    """
+    stride = 2 * n + 1 + sign
+    half = (n + 1) // 2
+    cuts = sorted({0, n - off, half, n})
+    for a, b in zip(cuts, cuts[1:]):
+        J = a + off - n * (a + off >= n)
+        start = J * (2 * n + 1) + sign * (a - n * (a >= half)) + base
+        flat[start:start + (b - a - 1) * stride + 1:stride] += values[a:b]
+
+
+def _coefficient_table(matrix: np.ndarray) -> np.ndarray:
+    """``E[i, m] = sum_J e^{2 pi i J i/n} C[J, m]``, C the 2-D Fourier
+    coefficients ``Kh[j1, j2]`` of the matrix summed by (J, m).
 
     The coefficient at FFT indices (j1, j2), with integer wavenumbers
     (w1, w2), belongs to the diagonal frequency ``J = (j1 + j2) mod n``
-    and the separation frequency ``m = w1 - w2`` in [-n, n], the table
-    cell ``J (2n + 1) + m + n``.  For even n the Nyquist row and column
-    are read at ``w = -n/2`` and again at ``w = +n/2``: after the n^2
-    entries come the second readings of the column, the row and the
-    corner.  The index addresses the real and imaginary parts,
-    interleaved as in the float view of a complex array, so one
-    ``bincount`` fills the table.
-    """
-    j = np.arange(n)
-    w = j - n * (j >= (n + 1) // 2)
-    cell = ((j[:, None] + j[None, :]) % n) * (2 * n + 1) + (w[:, None] - w[None, :] + n)
-    if n % 2 == 0:
-        h = n // 2
-        cell = np.concatenate([cell.ravel(), cell[:, h] - n, cell[h] + n, cell[h, h:h + 1]])
-    cell = cell.ravel()
-    return np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
-
-
-def _coefficient_table(matrix: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-    """``E[i, m] = sum_J e^{2 pi i J i/n} C[J, m]``, C the 2-D Fourier
-    coefficients of the matrix summed by (J, m), even-n Nyquist readings
-    at half weight each (:func:`_sum_difference_index`).
+    and the separation frequency ``m = w1 - w2`` in [-n, n].  Each row j1
+    of the spectrum is added straight into its strided slots of the flat
+    (J, m) table (:func:`_add_wrapped`), rows in order.  For even n the
+    Nyquist row and column count at half weight each, read at
+    ``w = -n/2`` and again at ``w = +n/2``: after the n rows come the
+    second readings of the column, the row and the corner.  Every cell
+    thus sums its coefficients in the order of one ``bincount`` over the
+    spectrum followed by those second readings.
 
     A function of its own so that the spectrum is freed before the
     chirp-z transforms allocate their blocks.
     """
     n = matrix.shape[0]
     spec = fft2(matrix, norm="forward")
+    table = np.zeros((n, 2 * n + 1), dtype=complex)
+    flat = table.reshape(-1)
+    half = (n + 1) // 2
     if n % 2 == 0:
-        h = n // 2
-        spec[:, h] *= 0.5
-        spec[h] *= 0.5
-        spec = np.concatenate([spec.ravel(), spec[:, h], spec[h], spec[h, h:h + 1]])
-    table = np.bincount(_sum_difference_index(n) if index is None else index,
-                        spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
-    table = table.view(complex).reshape(n, 2 * n + 1)
+        spec[:, half] *= 0.5
+        spec[half] *= 0.5
+    for j1 in range(n):
+        _add_wrapped(flat, n, j1, -1, j1 - n * (j1 >= half) + n, spec[j1])
+    if n % 2 == 0:
+        _add_wrapped(flat, n, half, 1, n - half, spec[:, half])
+        _add_wrapped(flat, n, half, -1, n + half, spec[half])
+        flat[n] += spec[half, half]
     return ifft(table, axis=0, norm="forward", out=table)
 
 
@@ -521,15 +538,16 @@ class _Chart:
 
     so the sum over J is one inverse FFT, done once into ``table`` (E),
     and the sum over m one chirp-z transform of rows of the table onto
-    the run of s (:meth:`plan`).  ``index`` is
-    ``_sum_difference_index(n)``, for callers that build it once.
+    the run of s (:meth:`plan`).  The table adds up C in a fixed order,
+    row by row of the spectrum, then the even-n Nyquist second readings
+    (:func:`_coefficient_table`).
     """
 
-    def __init__(self, matrix: np.ndarray, dq: float, index: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray, dq: float):
         n = matrix.shape[0]
         self.kappa = 2.0 * np.pi / (n * dq)
         self.m = np.arange(-n, n + 1)
-        self.table = _coefficient_table(matrix, index)
+        self.table = _coefficient_table(matrix)
 
     def plan(self, s0: float, ds: float, t: np.ndarray) -> _Bluestein:
         """The transform from rows of ``table`` to the same rows of D on the run ``t``."""

@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from strictq import asymptotics
+from strictq import asymptotics, weyl
 from strictq.asymptotics import (
     AxiomReport,
     axiom_sweep,
@@ -260,6 +263,41 @@ def test_sweep_matches_independent_checks():
     assert np.all(np.abs(star_b.defects - expected["br"]) <= expected["br_gap"])
     assert dirac.classical_ref == bracket.sup_norm()
     assert vonn.classical_ref == product.sup_norm()
+
+
+def test_sweep_same_with_complex_samples():
+    # real observables sample to float64; complex128 copies of the same
+    # samples give the same reports bit for bit
+    axis = Grid1D(-6.0, 6.0, 96)
+    grid = Grid2D(axis, axis)
+    f, g = make(F_OBS, grid), make(G_OBS, grid)
+    assert f.values.dtype == g.values.dtype == np.float64
+    wide = [replace(x, values=x.values.astype(complex)) for x in (f, g)]
+    sched = HbarSchedule(1.0, 0.5, 3)
+    for rep, again in zip(axiom_sweep(f, g, sched), axiom_sweep(*wide, sched), strict=True):
+        assert np.array_equal(rep.hbars, again.hbars)
+        assert np.array_equal(rep.defects, again.defects)
+        assert (rep.axiom, rep.classical_ref, rep.notes, rep.warnings) == (
+            again.axiom, again.classical_ref, again.notes, again.warnings)
+
+
+def test_sweep_traced_memory(monkeypatch):
+    # at n = 512 a two-hbar pass peaks below 9.5 n x n complex arrays (8.8
+    # measured); complex samples, a scatter index in the chart or BA kept
+    # beside each defect take it past the bound.  The lane workspaces grow
+    # with the lane count, so it is fixed at two
+    monkeypatch.setattr(weyl, "_LANES", 2)
+    n = 512
+    axis = Grid1D(-6.0, 6.0, n)
+    grid = Grid2D(axis, axis)
+    tracemalloc.start()
+    try:
+        f, g = make(F_OBS, grid), make(G_OBS, grid)
+        axiom_sweep(f, g, HbarSchedule(1.0, 0.5, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 16 * n * n
 
 
 def test_sweep_labels_are_the_cli_axiom_labels():

@@ -119,6 +119,25 @@ def test_bad_grid_or_schedule_exits_2(tmp_path, capsys, option, value, reason):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ("gaussian:alpha", "gaussian parameter 'alpha' has no value"),
+    ("gaussian:q0=nan", "need finite q0, p0, alpha, beta, got nan, 0.0, 1.0, 1.0"),
+    ("gaussian:alpha=inf", "need finite q0, p0, alpha, beta, got 0.0, 0.0, inf, 1.0"),
+    ("gaussian:q0=0.4,q0=1", "gaussian parameter 'q0' given twice"),
+])
+def test_bad_spec_exits_2(tmp_path, capsys, spec, reason):
+    # every subcommand that takes observable specs refuses the spec, naming
+    # the option
+    out = tmp_path / "r.json"
+    for option in ("--f-spec", "--g-spec"):
+        commands = [c for c, options in subcommand_options().items() if option in options]
+        assert commands == ["axioms", "star"]
+        for command in commands:
+            assert run([command, *NO_OP_RUNS[command][0], option, spec, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"strictq: {option} {spec!r}: {reason}\n", command
+            assert not out.exists()
+
+
 # ------------------------------------------------------------------ reports
 
 def test_positivity_report_and_schema(tmp_path, capsys):
@@ -189,6 +208,25 @@ def test_positivity_nonpositive_ratio_exits_2(tmp_path, capsys, ratio):
         f"strictq: need every --ratios value finite and > 0, got {float(ratio)}\n")
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("hbar", ["0.001", "1e-160", "1e-200"])
+def test_positivity_unresolved_hbar_exits_2(tmp_path, capsys, hbar):
+    # alpha = beta = sqrt(r) hbar/2 shrink with hbar until the grid cannot
+    # resolve the packet; the run is refused, naming --hbar, with no traceback
+    out = tmp_path / "pos.json"
+    assert run(["positivity", f"--hbar={hbar}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"strictq: --hbar {float(hbar):g} at alpha=")
+    assert "unresolved: the packet of width sqrt(2 alpha)" in err
+    assert not out.exists()
+
+
+def test_positivity_huge_hbar_exits_with_a_code(tmp_path):
+    # (hbar/2)^2 overflowed into an uncaught OverflowError.  At widths ~1e300
+    # the box holds a flat sliver of the packet, so the run must end with a
+    # failure code: 1 for the failed threshold test, or 2 for a refused box
+    assert run(["positivity", "--hbar", "1e300", "--out", str(tmp_path / "pos.json")]) in (1, 2)
 
 
 def test_positivity_single_threshold_point(tmp_path):

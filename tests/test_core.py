@@ -89,6 +89,22 @@ def test_sample_coordinate_midpoints():
     assert_allclose(f.values, [-0.75, -0.25, 0.25, 0.75])
 
 
+@pytest.mark.parametrize("symbol, dtype", [
+    (lambda q, p: np.exp(-q**2 - p**2), np.float64),
+    (lambda q, p: np.ones(np.broadcast(q, p).shape, dtype=int), np.float64),
+    (lambda q, p: np.exp(1j * q * p), np.complex128),
+    # complex, though every imaginary part is zero
+    (lambda q, p: np.exp(-q**2 - p**2) + 0j, np.complex128),
+], ids=["real", "integer", "complex", "complex-zero-imaginary"])
+def test_sample_dtype_follows_symbol(symbol, dtype):
+    grid = Grid2D(Grid1D(-2, 2, 8), Grid1D(-3, 3, 16))
+    f = sample(symbol, grid)
+    assert f.values.dtype == dtype
+    assert np.array_equal(f.values, symbol(*grid.meshes()))
+    line = sample(lambda q: symbol(q, 0.5), grid.qaxis)
+    assert line.values.dtype == dtype
+
+
 def test_sample_nonfinite_rejected():
     grid = Grid2D(Grid1D(-1, 1, 4), Grid1D(-1, 1, 4))
     with pytest.raises(SampleError, match="q"):

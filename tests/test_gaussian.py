@@ -17,7 +17,7 @@ from strictq.gaussian import (
     positivity_verdict,
     psi_sigma_vector,
 )
-from strictq.weyl import op_norm, star_product, weyl_kernel
+from strictq.weyl import AliasingError, op_norm, star_product, weyl_kernel
 
 from conftest import expectation_quadrature, sampled_gaussian
 
@@ -40,6 +40,13 @@ def test_symbol_sup_on_grid(box16):
     p0 = float(box16.paxis.points[250])
     f = sampled_gaussian(GaussianObservable(q0=q0, p0=p0), box16)
     assert f.sup_norm() == pytest.approx(2.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("field", ["q0", "p0", "alpha", "beta"])
+def test_observable_needs_finite_parameters(field):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="need finite q0, p0, alpha, beta"):
+            GaussianObservable(**{field: value})
 
 
 def test_observable_validation():
@@ -85,6 +92,48 @@ def test_kernel_matches_quadrature_weyl(box16):
     quad = weyl_kernel(f, 1.0, box16.qaxis)
     closed = gaussian_kernel_closed_form(g, 1.0, box16.qaxis)
     assert np.max(np.abs(quad.matrix - closed.matrix)) < 1e-6
+
+
+def test_kernel_one_exponent_matches_packet_product():
+    # where the factors are finite, the one exponent is conj(chi) chi times
+    # the coupling e^{-Theta d^2/2}
+    g = GaussianObservable(q0=0.3, p0=-0.7, alpha=0.8, beta=0.6)
+    hbar = 0.9
+    chi = chi_vector(g, hbar, QGRID).values
+    theta = positivity_intermediates(g, 1.0, hbar).theta
+    q = QGRID.points
+    want = np.conj(chi)[:, None] * chi[None, :] * np.exp(-0.5 * theta * (q[:, None] - q) ** 2)
+    got = gaussian_kernel_closed_form(g, hbar, QGRID).matrix
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.01])
+def test_positivity_below_threshold_at_small_hbar(hbar):
+    # alpha = beta = sqrt(r) hbar/2, as in `strictq positivity`: Theta < 0, and
+    # the coupling e^{-Theta d^2/2} overflowed where chi underflowed, leaving
+    # NaN in the kernel; the one exponent stays bounded and meets Mehler's
+    # k = 1 eigenvalue 2(1-u)/(1+u)^2, u = 1/sqrt(r), as at hbar = 1
+    qgrid = Grid1D(-16.0, 16.0, 512)
+    for ratio in (0.25, 0.5, 0.75):
+        side = np.sqrt(ratio) * hbar / 2.0
+        u = 1.0 / np.sqrt(ratio)
+        verdict = positivity_verdict(GaussianObservable(alpha=side, beta=side), hbar, qgrid)
+        assert abs(verdict["min_eigenvalue"] - 2.0 * (1.0 - u) / (1.0 + u) ** 2) <= 1e-9
+
+
+def test_unresolved_packet_refused():
+    qgrid = Grid1D(-16.0, 16.0, 512)  # dq = 1/16, band |k| <= 16 pi
+    # a packet narrower than the spacing: no hbar resolves it
+    with pytest.raises(AliasingError, match="no hbar resolves it") as err:
+        positivity_verdict(GaussianObservable(alpha=1e-3, beta=1.0), 1.0, qgrid)
+    assert err.value.hbar_min == np.inf
+    # the envelope of width 1 takes |k| <= pi of the band; the carrier 30/hbar
+    # must fit in the remaining 15 pi
+    g = GaussianObservable(p0=30.0, alpha=0.5, beta=1.0)
+    with pytest.raises(AliasingError, match="minimal usable hbar") as err:
+        gaussian_kernel_closed_form(g, 0.5, qgrid)
+    assert err.value.hbar_min == pytest.approx(2.0 / np.pi, rel=1e-14)
+    assert np.all(np.isfinite(gaussian_kernel_closed_form(g, err.value.hbar_min, qgrid).matrix))
 
 
 def test_kernel_hermitian():
@@ -134,8 +183,8 @@ def test_expectation_degenerate_parameters():
 
 @pytest.mark.parametrize("hbar", [0.0, -0.5])
 def test_nonpositive_hbar_refused(hbar):
-    # the packet and Theta divide by hbar^2, the probe by hbar: hbar = 0
-    # must not reach them
+    # the packet divides by sqrt(hbar), Theta by hbar^2 and the probe by
+    # hbar: hbar = 0 must not reach them
     g = GaussianObservable()
     for call in (lambda: chi_vector(g, hbar, QGRID),
                  lambda: psi_sigma_vector(g, 1.0, hbar, QGRID),

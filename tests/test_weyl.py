@@ -579,6 +579,47 @@ def test_dequantize_noise_matches_dense_oracle(n, n_t, hbar, width, shift, seed)
     assert relative_gap(back.values, dense_dequantize_values(kernel, target)) <= 1e-11
 
 
+def bincount_coefficient_table(matrix):
+    """Oracle: the (J, m) table of :func:`weyl._coefficient_table` filled by one
+    ``bincount`` over a prebuilt scatter index.
+
+    The coefficient at FFT indices (j1, j2), wavenumbers (w1, w2), lands in
+    cell ``J (2n + 1) + m + n`` with ``J = (j1 + j2) mod n`` and
+    ``m = w1 - w2``; for even n the halved Nyquist column, row and corner are
+    read a second time at ``w = +n/2``, after the n^2 entries.  The index
+    addresses real and imaginary parts of the float view.
+    """
+    n = matrix.shape[0]
+    j = np.arange(n)
+    w = j - n * (j >= (n + 1) // 2)
+    cell = ((j[:, None] + j[None, :]) % n) * (2 * n + 1) + (w[:, None] - w[None, :] + n)
+    spec = np.fft.fft2(matrix, norm="forward")
+    if n % 2 == 0:
+        h = n // 2
+        spec[:, h] *= 0.5
+        spec[h] *= 0.5
+        cell = np.concatenate([cell.ravel(), cell[:, h] - n, cell[h] + n, cell[h, h:h + 1]])
+        spec = np.concatenate([spec.ravel(), spec[:, h], spec[h], spec[h, h:h + 1]])
+    cell = cell.ravel()
+    index = np.stack([2 * cell, 2 * cell + 1], axis=-1).ravel()
+    table = np.bincount(index, spec.ravel().view(np.float64), 2 * n * (2 * n + 1))
+    table = table.view(complex).reshape(n, 2 * n + 1)
+    return np.fft.ifft(table, axis=0, norm="forward")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 64, 65, 384])
+def test_coefficient_table_matches_bincount_oracle(n):
+    # the strided adds sum every cell in bincount's order, the even-n Nyquist
+    # second readings last, so the tables agree bit for bit; the Nyquist row
+    # and column carry content of their own
+    rng = np.random.default_rng(n)
+    matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    matrix[n // 2] += 3.0 * (-1.0) ** np.arange(n)
+    matrix[:, n // 2] -= 2.0j * (-1.0) ** np.arange(n)
+    got = weyl._coefficient_table(matrix)
+    assert np.array_equal(got.view(float), bincount_coefficient_table(matrix).view(float))
+
+
 @pytest.mark.parametrize("n, ratio", [(256, "2.34e-02"), (255, "2.50e-02")])
 def test_dequantize_truncated_kernel_raises(n, ratio):
     # the envelope has not decayed at the box edge, so the anti-diagonals of
