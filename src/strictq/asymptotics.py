@@ -69,6 +69,7 @@ from .core import (
 from .symbols import SymbolField, poisson_field
 from .weyl import (
     OperatorKernel,
+    adjoint,
     compose,
     dequantize,
     hbar_floor,
@@ -121,11 +122,15 @@ class AxiomReport:
 
 
 def _jordan_of(ab: OperatorKernel, ba: OperatorKernel) -> OperatorKernel:
-    return replace(ab, matrix=0.5 * (ab.matrix + ba.matrix))
+    """(AB + BA)/2, written into the matrix of ``ba``."""
+    m = ba.matrix
+    return replace(ab, matrix=np.multiply(0.5, np.add(ab.matrix, m, out=m), out=m))
 
 
 def _bracket_of(ab: OperatorKernel, ba: OperatorKernel, hbar: float) -> OperatorKernel:
-    return replace(ab, matrix=(ab.matrix - ba.matrix) / (1j * hbar))
+    """(AB - BA)/(i hbar), written into the matrix of ``ba``."""
+    m = ba.matrix
+    return replace(ab, matrix=np.divide(np.subtract(ab.matrix, m, out=m), 1j * hbar, out=m))
 
 
 def jordan(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
@@ -138,21 +143,11 @@ def quantum_bracket(a: OperatorKernel, b: OperatorKernel, hbar: float) -> Operat
     return _bracket_of(compose(a, b), compose(b, a), hbar)
 
 
-def _defect(exact: OperatorKernel, ab: OperatorKernel, hbar: float | None = None) -> float:
-    """Operator norm of ``exact`` minus the quantum bracket (AB - AB*)/(i hbar)
-    of AB, or minus its Jordan product (AB + AB*)/2 when no hbar is given.
-
-    Both are formed in one n x n buffer: it takes AB*, then the ufuncs of
-    :func:`_bracket_of` or :func:`_jordan_of` in their order, then the
-    difference, so the defect is that of the separate arrays bit for bit.
-    """
-    buf = np.conjugate(ab.matrix.T)
-    if hbar is None:
-        np.multiply(0.5, np.add(ab.matrix, buf, out=buf), out=buf)
-    else:
-        np.divide(np.subtract(ab.matrix, buf, out=buf), 1j * hbar, out=buf)
-    np.subtract(exact.matrix, buf, out=buf)
-    return op_norm(OperatorKernel(grid=exact.grid, matrix=buf, hbar=exact.hbar))
+def _defect(exact: OperatorKernel, approx: OperatorKernel) -> float:
+    """Operator norm of ``exact - approx``, written into the matrix of ``approx``."""
+    m = approx.matrix
+    return op_norm(OperatorKernel(
+        grid=exact.grid, matrix=np.subtract(exact.matrix, m, out=m), hbar=exact.hbar))
 
 
 def clip_schedule(f: SampledFunction, schedule: HbarSchedule, *notes: str):
@@ -254,11 +249,11 @@ def axiom_sweep(f: SampledFunction, g: SampledFunction, schedule: HbarSchedule) 
         del ka, kb
         kbr = weyl_kernel(bracket, hbar, qgrid)
         record_warnings(seen_dirac, hbar, ab, kbr)
-        dirac.append(_defect(kbr, ab, hbar))
+        dirac.append(_defect(kbr, _bracket_of(ab, adjoint(ab), hbar)))
         del kbr
         kpr = weyl_kernel(product, hbar, qgrid)
         record_warnings(seen_vonneumann, hbar, ab, kpr)
-        vonneumann.append(_defect(kpr, ab))
+        vonneumann.append(_defect(kpr, _jordan_of(ab, adjoint(ab))))
         del kpr
         star.append(_star_step(ab, product, bracket, seen_star))
 

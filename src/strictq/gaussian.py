@@ -46,7 +46,6 @@ __all__ = [
     "PositivityIntermediates",
     "DegenerateParameterError",
     "gaussian_symbol",
-    "chi_vector",
     "psi_sigma_vector",
     "gaussian_kernel_closed_form",
     "positivity_intermediates",
@@ -99,22 +98,6 @@ def gaussian_symbol(g: GaussianObservable):
         )
 
     return f
-
-
-def chi_vector(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> WaveFunction:
-    """The wave packet whose rank-one kernel carries the Gaussian at threshold.
-
-    ``|chi|^2`` integrates to ``2 sqrt(alpha beta) / hbar``.
-    """
-    if not hbar > 0:
-        raise ValueError(f"need hbar > 0, got {hbar}")
-    q = qgrid.points
-    values = (
-        (2.0 * g.beta / np.pi) ** 0.25 / np.sqrt(hbar)
-        * np.exp(-((q - g.q0) ** 2) / (4.0 * g.alpha))
-        * np.exp(-1j * g.p0 * (q - g.q0) / hbar)
-    )
-    return WaveFunction(grid=qgrid, values=values)
 
 
 def psi_sigma_vector(

@@ -438,19 +438,9 @@ def op_norm(kernel: OperatorKernel) -> float:
     scale = np.max(np.abs(m))
     if scale == 0.0:
         return 0.0
-    if _hermitian(m, 1e-13 * scale):
+    if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
         return float(np.max(np.abs(eigvalsh(m)))) * kernel.grid.delta
     return float(svdvals(m)[0]) * kernel.grid.delta
-
-
-def _hermitian(m: np.ndarray, tol: float) -> bool:
-    """Whether ``|m - m^H| <= tol`` everywhere, tested over strips of
-    ``_CZT_BLOCK`` rows so that no n x n temporary is made."""
-    for r in range(0, m.shape[0], _CZT_BLOCK):
-        rows = slice(r, r + _CZT_BLOCK)
-        if not np.max(np.abs(m[rows] - m[:, rows].conj().T)) <= tol:
-            return False
-    return True
 
 
 def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:

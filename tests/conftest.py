@@ -6,6 +6,7 @@ from scipy.special import erf
 from strictq.core import Grid1D, Grid2D, sample
 from strictq.gaussian import GaussianObservable, gaussian_kernel_closed_form, psi_sigma_vector
 from strictq.symbols import SymbolField, gaussian_field
+from strictq.weyl import WaveFunction
 
 # property tests draw the same examples on every run and write no example
 # database; some examples build dense oracles, so no per-example deadline
@@ -41,6 +42,22 @@ def random_gaussians(seed, count, spread=1.0):
 
 def sampled_gaussian(obs, grid):
     return sample(gaussian_field(obs), grid)
+
+
+def chi_vector(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> WaveFunction:
+    """The wave packet whose rank-one kernel carries the Gaussian at threshold.
+
+    ``|chi|^2`` integrates to ``2 sqrt(alpha beta) / hbar``.
+    """
+    if not hbar > 0:
+        raise ValueError(f"need hbar > 0, got {hbar}")
+    q = qgrid.points
+    values = (
+        (2.0 * g.beta / np.pi) ** 0.25 / np.sqrt(hbar)
+        * np.exp(-((q - g.q0) ** 2) / (4.0 * g.alpha))
+        * np.exp(-1j * g.p0 * (q - g.q0) / hbar)
+    )
+    return WaveFunction(grid=qgrid, values=values)
 
 
 def expectation_quadrature(g: GaussianObservable, sigma: float, hbar: float,

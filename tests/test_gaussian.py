@@ -9,7 +9,6 @@ from strictq.core import Grid1D, Grid2D
 from strictq.gaussian import (
     DegenerateParameterError,
     GaussianObservable,
-    chi_vector,
     expectation_closed_form,
     gaussian_kernel_closed_form,
     gaussian_symbol,
@@ -19,7 +18,7 @@ from strictq.gaussian import (
 )
 from strictq.weyl import AliasingError, op_norm, star_product, weyl_kernel
 
-from conftest import expectation_quadrature, sampled_gaussian
+from conftest import chi_vector, expectation_quadrature, sampled_gaussian
 
 QGRID = Grid1D(-20.0, 20.0, 1024)
 

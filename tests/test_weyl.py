@@ -16,7 +16,7 @@ from scipy.fft import next_fast_len
 import strictq
 from strictq import weyl
 from strictq.core import Grid1D, Grid2D, quadrature, sample, trig_shift
-from strictq.gaussian import GaussianObservable, chi_vector
+from strictq.gaussian import GaussianObservable
 from strictq.groupoid import canonical_family, tangent_boundary_check
 from strictq.symbols import gaussian_field
 from strictq.weyl import (
@@ -37,8 +37,8 @@ from strictq.weyl import (
 )
 from strictq.weyl import _Bluestein, _Chart, _chirp_z, _fast_len, _midpoints
 
-from conftest import (coordinate_field, random_gaussians, sampled_gaussian, spectral_derivative,
-                      window_field)
+from conftest import (chi_vector, coordinate_field, random_gaussians, sampled_gaussian,
+                      spectral_derivative, window_field)
 
 
 def identity_kernel(grid, hbar=1.0):
