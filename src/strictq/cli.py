@@ -5,6 +5,9 @@ JSON by default::
 
     {"check": <name>, "config": {...}, "columns": [...], "rows": [[...]]}
 
+A subcommand parses its options, calls the library, formats the report
+and sets the exit code.
+
 CSV output mirrors the columns/rows (config embedded as ``#`` comment
 lines).  Rows contain numbers only; where a table mixes several defect
 sequences an integer ``axiom_id`` column keys into the label map stored
@@ -38,15 +41,15 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from math import gcd
 
 import numpy as np
 
 from . import CONVENTIONS, __version__
-from .core import Grid1D, Grid2D, HbarSchedule, record_warnings, sample, tagged_warnings
+from .core import DecayError, Grid1D, Grid2D, HbarSchedule, record_warnings, sample
+from .core import tagged_warnings
 from .gaussian import GaussianObservable, positivity_verdict
-from .symbols import gaussian_field, poisson_field
+from .symbols import gaussian_field
 from . import asymptotics
 from . import groupoid as groupoid_mod
 from . import landsman as landsman_mod
@@ -66,6 +69,9 @@ OPTION_RANGES = {
     "hbar_ratio": ("in (0, 1)", lambda v: 0 < v < 1),
     "hbar_count": (">= 1", lambda v: v >= 1),
 }
+
+#: The observable of the flat ``landsman`` and the ``groupoid`` reports.
+OBSERVABLE = GaussianObservable(0.2, -0.3, 1.0, 0.8)
 
 AXIOM_LABELS = {
     0: "dirac",
@@ -202,6 +208,8 @@ def cmd_positivity(args) -> int:
             verdict = positivity_verdict(GaussianObservable(alpha=a, beta=b), hbar, qgrid)
         except weyl.AliasingError as err:
             raise ValueError(f"--hbar {hbar:g} at alpha={a:g}, beta={b:g}: {err}") from None
+        except DecayError as err:
+            raise ValueError(f"--box {args.box:g} at alpha={a:g}, beta={b:g}: {err}") from None
         rows.append([a, b, hbar, verdict["min_eigenvalue"], float(verdict["positive"])])
         expected = a / half * (b / half) >= 1.0 - 1e-12
         if bool(verdict["positive"]) != expected:
@@ -259,96 +267,32 @@ def _random_element(rng, theta):
     return rotation.rot_element(theta, terms)
 
 
+#: ``landsman --metric``: the experiment run on the parsed options, the
+#: report's columns, and the rule its rows must pass.
+LANDSMAN_METRICS = {
+    "flat": (lambda args: landsman_mod.flat_transfer(OBSERVABLE, _grid(args), _schedule(args)),
+             ["hbar", "sup_gap_vs_weyl", "kernel_scale"],
+             lambda rows: all(gap <= 1e-5 * max(scale, 1.0) for _, gap, scale in rows)),
+    "circle": (lambda args: landsman_mod.circle_hermiticity(args.n, _schedule(args)),
+               ["hbar", "hermiticity_gap", "kernel_scale"],
+               lambda rows: all(herm <= 1e-10 * max(scale, 1.0) for _, herm, scale in rows)),
+    "exp2q": (lambda args: landsman_mod.exp2q_dirac(args.n, _schedule(args)),
+              ["hbar", "dirac_defect", "weighted_norm_f"],
+              lambda rows: all(b[1] < a[1] for a, b in zip(rows, rows[1:]))),
+}
+
+
 def cmd_landsman(args) -> int:
-    name = args.metric
-    schedule, notes = _schedule(args), ()
-    seen: dict = {}
-    if name == "flat":
-        metric = landsman_mod.metric_flat()
-        grid = _grid(args)
-        axis = grid.qaxis
-        obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
-        f = sample(gaussian_field(obs), grid)
-        fiber = landsman_mod.fiber_fourier(f, metric).fiber
-        fsym = landsman_mod.gaussian_fiber_symbol(obs, metric, axis, fiber)
-        schedule, notes = asymptotics.clip_schedule(f, schedule)
-        rows = []
-        ok = True
-        for hbar in schedule.values:
-            kl = landsman_mod.landsman_kernel(fsym, hbar, metric)
-            kw = weyl.weyl_kernel(f, hbar, axis)
-            record_warnings(seen, hbar, kl, kw)
-            gap = float(np.max(np.abs(kl.matrix - kw.matrix)))
-            scale = float(np.max(np.abs(kw.matrix)))
-            rows.append([hbar, gap, scale])
-            ok = ok and gap <= 1e-5 * max(scale, 1.0)
-        columns = ["hbar", "sup_gap_vs_weyl", "kernel_scale"]
-    elif name == "exp2q":
-        metric = landsman_mod.metric_exp2q()
-        base = Grid1D(-2.0, 2.0, args.n)
-        pax = Grid1D(-12.0, 12.0, args.n)
-        grid = Grid2D(base, pax)
-        gA = GaussianObservable(0.0, -0.2, 0.05, 1.0)
-        gB = GaussianObservable(0.1, 0.3, 0.06, 0.9)
-        fA = sample(gaussian_field(gA), grid)
-        fB = sample(gaussian_field(gB), grid)
-        br = sample(poisson_field(fA.symbol, fB.symbol), grid)
-        fiber = landsman_mod.fiber_fourier(fA, metric).fiber
-        sA = landsman_mod.gaussian_fiber_symbol(gA, metric, base, fiber)
-        sB = landsman_mod.gaussian_fiber_symbol(gB, metric, base, fiber)
-        sBr = landsman_mod.fiber_fourier(br, metric)
-        adm = min(landsman_mod.hbar_admissible(s, metric) for s in (sA, sB, sBr))
-        rows = []
-        for hbar in _landsman_hbars(schedule, min(0.9 * adm, 0.16)):
-            ka = landsman_mod.landsman_kernel(sA, hbar, metric)
-            kb = landsman_mod.landsman_kernel(sB, hbar, metric)
-            kbr = landsman_mod.landsman_kernel(sBr, hbar, metric)
-            record_warnings(seen, hbar, ka, kb, kbr)
-            bracket = asymptotics.quantum_bracket(ka, kb, hbar)
-            diff = weyl.OperatorKernel(grid=base, matrix=kbr.matrix - bracket.matrix,
-                                       hbar=hbar)
-            rows.append([hbar, weyl.op_norm(diff), weyl.op_norm(ka)])
-        defects = [r[1] for r in rows]
-        ok = all(d2 < d1 for d1, d2 in zip(defects, defects[1:]))
-        columns = ["hbar", "dirac_defect", "weighted_norm_f"]
-    else:  # circle
-        metric = landsman_mod.metric_circle(1.0)
-        axis = Grid1D(0.0, 1.0, args.n)
-        vax = Grid1D(-8.0, 8.0, args.n)
-
-        def ft(q, v):
-            return (1.0 + 0.3 * np.cos(2 * np.pi * np.asarray(q))) * np.exp(
-                -np.asarray(v) ** 2)
-
-        values = ft(axis.points[:, None], vax.points[None, :]).astype(complex)
-        fsym = landsman_mod.FiberSymbol(base=axis, fiber=vax, values=values,
-                                        support_radius=6.0, symbol=ft)
-        adm = landsman_mod.hbar_admissible(fsym, metric)
-        rows = []
-        ok = True
-        for hbar in _landsman_hbars(schedule, 0.9 * adm):
-            kernel = landsman_mod.landsman_kernel(fsym, hbar, metric)
-            record_warnings(seen, hbar, kernel)
-            herm = float(np.max(np.abs(kernel.matrix - kernel.matrix.conj().T)))
-            scale = float(np.max(np.abs(kernel.matrix)))
-            rows.append([hbar, herm, scale])
-            ok = ok and herm <= 1e-10 * max(scale, 1.0)
-        columns = ["hbar", "hermiticity_gap", "kernel_scale"]
-    warnings = list(tagged_warnings(seen))
-    _report(args, columns, rows, notes=list(notes), warnings=warnings)
-    return _exit_code("landsman", [] if ok else [f"{name} {columns[1]}"], warnings)
-
-
-def _landsman_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
-    """The schedule started at min(cap, its start), with at least two values."""
-    return replace(schedule, start=min(cap, schedule.start),
-                   count=max(schedule.count, 2)).values
+    experiment, columns, passes = LANDSMAN_METRICS[args.metric]
+    rows, notes, warnings = experiment(args)
+    _report(args, columns, rows, notes=list(notes), warnings=list(warnings))
+    failed = [] if passes(rows) else [f"{args.metric} {columns[1]}"]
+    return _exit_code("landsman", failed, list(warnings))
 
 
 def cmd_groupoid(args) -> int:
     schedule = _schedule(args)
-    obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
-    f = sample(gaussian_field(obs), _grid(args))
+    f = sample(gaussian_field(OBSERVABLE), _grid(args))
     rows = []
     wm_ok = True
     seen: dict = {}

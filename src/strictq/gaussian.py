@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .core import Grid1D
+from .core import DECAY_HARD_LIMIT, DecayError, Grid1D, boundary_decay
 from .weyl import AliasingError, OperatorKernel, WaveFunction
 
 __all__ = [
@@ -143,7 +143,9 @@ def gaussian_kernel_closed_form(
     whatever the sign of Theta; hbar^2 is never formed, and the kernel is
     real when p0 = 0.  A grid that does
     not resolve the packet (:func:`_packet_floor`) raises
-    :class:`AliasingError`.
+    :class:`AliasingError`, and a q-box that truncates it, its first or
+    last row holding more than ``DECAY_HARD_LIMIT`` of the largest entry,
+    raises :class:`DecayError`.
     """
     if not hbar > 0:
         raise ValueError(f"need hbar > 0, got {hbar}")
@@ -163,6 +165,10 @@ def gaussian_kernel_closed_form(
     if g.p0:
         exponent = exponent + 1j * g.p0 * d
     matrix = np.sqrt(2.0 * g.beta / np.pi) / hbar * np.exp(exponent)
+    decay = boundary_decay(matrix, axis=0)
+    if decay > DECAY_HARD_LIMIT:
+        raise DecayError(f"the q-box [{qgrid.lo:g}, {qgrid.hi:g}) truncates the packet: its "
+                         f"edge rows hold {decay:.2e} of the kernel's largest entry")
     return OperatorKernel(grid=qgrid, matrix=matrix, hbar=hbar)
 
 

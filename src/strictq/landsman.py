@@ -31,17 +31,26 @@ them with the flat measure dx, as they serve Weyl kernels.
 For the flat metric all of this collapses to the Weyl-Moyal kernel; the
 closed-form metric ``g = e^{2q}`` (arclength ``e^q``) exercises the
 genuinely curved case, and a flat circle exercises the compact one.
+Each is one report's experiment, returning its rows, notes and tagged
+warnings: :func:`flat_transfer`, :func:`exp2q_dirac` (hbar from at most
+0.9 times the admissible hbar, and at most 0.16) and
+:func:`circle_hermiticity` (from at most 0.9 times the admissible hbar),
+all with kernels in the L^2(dx) frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .core import Grid1D, GridError, SampledFunction, fourier_fiber
-from .weyl import OperatorKernel, compose, op_norm
+from .asymptotics import clip_schedule, quantum_bracket
+from .core import Grid1D, Grid2D, GridError, HbarSchedule, SampledFunction, fourier_fiber
+from .core import record_warnings, sample, tagged_warnings
+from .gaussian import GaussianObservable
+from .symbols import gaussian_field, poisson_field
+from .weyl import OperatorKernel, compose, op_norm, weyl_kernel
 
 __all__ = [
     "Metric1D",
@@ -58,6 +67,10 @@ __all__ = [
     "phi_hbar_inverse",
     "hbar_admissible",
     "landsman_kernel",
+    "flat_transfer",
+    "exp2q_pair",
+    "exp2q_dirac",
+    "circle_hermiticity",
 ]
 
 
@@ -421,6 +434,80 @@ def landsman_kernel(fsym: FiberSymbol, hbar: float, metric: Metric1D) -> Operato
     matrix = fsym.evaluate(q, X) / hbar * np.outer(r, r)
     return OperatorKernel(grid=fsym.base, matrix=matrix, hbar=hbar,
                           warnings=fsym.warnings)
+
+
+def _capped_hbars(schedule: HbarSchedule, cap: float) -> np.ndarray:
+    """The schedule started at min(cap, its start), with at least two values."""
+    return replace(schedule, start=min(cap, schedule.start),
+                   count=max(schedule.count, 2)).values
+
+
+def flat_transfer(obs: GaussianObservable, grid: Grid2D, schedule: HbarSchedule) -> tuple:
+    """Rows ``[hbar, sup |K_L - K_W|, sup |K_W|]`` of the flat Landsman kernel K_L
+    and the Weyl kernel K_W of ``obs`` on ``grid``, the schedule clipped at the
+    aliasing guard, with notes and warnings.  The fiber grid is the fiber
+    transform's, which refuses samples with no decay at the p-boundary."""
+    metric = metric_flat()
+    f = sample(gaussian_field(obs), grid)
+    fsym = gaussian_fiber_symbol(obs, metric, grid.qaxis, fiber_fourier(f, metric).fiber)
+    schedule, notes = clip_schedule(f, schedule)
+    rows, seen = [], {}
+    for hbar in schedule.values:
+        kl, kw = landsman_kernel(fsym, hbar, metric), weyl_kernel(f, hbar, grid.qaxis)
+        record_warnings(seen, hbar, kl, kw)
+        gap = float(np.max(np.abs(kl.matrix - kw.matrix)))
+        rows.append([hbar, gap, float(np.max(np.abs(kw.matrix)))])
+    return rows, notes, tagged_warnings(seen)
+
+
+def exp2q_pair(n: int) -> tuple:
+    """``(f_A, f_B, ft_A, ft_B)``: two Gaussians on ``[-2, 2) x [-12, 12)``, n points
+    per axis, and their closed-form fiber symbols for g = e^{2q}."""
+    metric = metric_exp2q()
+    grid = Grid2D(Grid1D(-2.0, 2.0, n), Grid1D(-12.0, 12.0, n))
+    pair = (GaussianObservable(0.0, -0.2, 0.05, 1.0), GaussianObservable(0.1, 0.3, 0.06, 0.9))
+    fA, fB = (sample(gaussian_field(g), grid) for g in pair)
+    fiber = fiber_fourier(fA, metric).fiber
+    sA, sB = (gaussian_fiber_symbol(g, metric, grid.qaxis, fiber) for g in pair)
+    return fA, fB, sA, sB
+
+
+def exp2q_dirac(n: int, schedule: HbarSchedule) -> tuple:
+    """Rows ``[hbar, ||Q({f_A, f_B}) - [Q(f_A), Q(f_B)]/(i hbar)||, ||Q(f_A)||]`` of
+    :func:`exp2q_pair`, with notes and warnings."""
+    metric = metric_exp2q()
+    fA, fB, sA, sB = exp2q_pair(n)
+    sBr = fiber_fourier(sample(poisson_field(fA.symbol, fB.symbol), fA.grid), metric)
+    adm = min(hbar_admissible(s, metric) for s in (sA, sB, sBr))
+    rows, seen = [], {}
+    for hbar in _capped_hbars(schedule, min(0.9 * adm, 0.16)):
+        ka, kb, kbr = (landsman_kernel(s, hbar, metric) for s in (sA, sB, sBr))
+        record_warnings(seen, hbar, ka, kb, kbr)
+        bracket = quantum_bracket(ka, kb, hbar)
+        diff = OperatorKernel(grid=sA.base, matrix=kbr.matrix - bracket.matrix, hbar=hbar)
+        rows.append([hbar, op_norm(diff), op_norm(ka)])
+    return rows, (), tagged_warnings(seen)
+
+
+def circle_hermiticity(n: int, schedule: HbarSchedule) -> tuple:
+    """Rows ``[hbar, sup |K - K^H|, sup |K|]`` of the real symbol
+    ``(1 + 0.3 cos 2 pi q) e^{-v^2}`` on the unit circle, n points on the base
+    and on the fiber ``[-8, 8)``, with notes and warnings."""
+    metric = metric_circle(1.0)
+    axis, vax = Grid1D(0.0, 1.0, n), Grid1D(-8.0, 8.0, n)
+
+    def ft(q, v):
+        return (1.0 + 0.3 * np.cos(2 * np.pi * np.asarray(q))) * np.exp(-np.asarray(v) ** 2)
+
+    values = ft(axis.points[:, None], vax.points[None, :]).astype(complex)
+    fsym = FiberSymbol(base=axis, fiber=vax, values=values, support_radius=6.0, symbol=ft)
+    rows, seen = [], {}
+    for hbar in _capped_hbars(schedule, 0.9 * hbar_admissible(fsym, metric)):
+        kernel = landsman_kernel(fsym, hbar, metric)
+        record_warnings(seen, hbar, kernel)
+        herm = float(np.max(np.abs(kernel.matrix - kernel.matrix.conj().T)))
+        rows.append([hbar, herm, float(np.max(np.abs(kernel.matrix)))])
+    return rows, (), tagged_warnings(seen)
 
 
 # The two names below exist only because benchmarks/tracer.py traces them

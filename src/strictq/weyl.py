@@ -23,10 +23,12 @@ separations ``|d| <= pi hbar / dp``.  Entries beyond that band alias, so
 they are set to zero instead; for admissible symbols (fiber transform
 band-limited within the p-grid's Nyquist range) the true kernel is below
 tolerance there, and the build verifies this by inspecting the band
-edge.  A second, hbar-dependent limit is fatal: once ``pi hbar / dp``
-drops below the position spacing the aliased copies of the kernel
-collide with the true diagonal and no usable operator remains, which
-raises :class:`AliasingError` naming the smallest usable hbar.
+edge; it also warns of content above ``BAND_EDGE_TOL`` in the edge rows
+and columns, where the q-box cuts the kernel off.  A second,
+hbar-dependent limit is fatal: once ``pi hbar / dp`` drops below the
+position spacing the aliased copies of the kernel collide with the true
+diagonal and no usable operator remains, which raises
+:class:`AliasingError` naming the smallest usable hbar.
 
 Dequantization inverts the kernel map,
 
@@ -324,14 +326,18 @@ def weyl_kernel(f: SampledFunction, hbar: float, qgrid: Grid1D) -> OperatorKerne
 
     _on_lanes(2 * n - 1, plan.size + 2 * (top + 1), build)
 
-    if not inside.all():
+    scale, edge = peaks.max(axis=0)
+    if not inside.all() and scale > 0 and edge > BAND_EDGE_TOL * scale:
         # the band was clipped: the true kernel must be negligible at the edge
-        scale, edge = peaks.max(axis=0)
-        if scale > 0 and edge > BAND_EDGE_TOL * scale:
-            warnings.append(
-                f"kernel content {edge / scale:.2e} at the resolved-band edge "
-                f"|q - q'| = {band:g}; refine the p-grid or use larger hbar"
-            )
+        warnings.append(
+            f"kernel content {edge / scale:.2e} at the resolved-band edge "
+            f"|q - q'| = {band:g}; refine the p-grid or use larger hbar"
+        )
+    # the kernel beyond the q-box is cut off: it must be negligible at the box edge
+    edge = max(np.abs(matrix[[0, -1]]).max(), np.abs(matrix[:, [0, -1]]).max())
+    if scale > 0 and edge > BAND_EDGE_TOL * scale:
+        warnings.append(f"kernel content {edge / scale:.2e} at the edge of the q-box "
+                        f"[{qgrid.lo:g}, {qgrid.hi:g}); widen the box")
 
     return OperatorKernel(grid=qgrid, matrix=matrix, hbar=hbar, warnings=tuple(warnings))
 

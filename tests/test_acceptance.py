@@ -16,7 +16,6 @@ from strictq.gaussian import (
     positivity_intermediates,
     positivity_verdict,
 )
-from strictq.symbols import poisson_field
 from strictq import asymptotics
 from strictq import landsman as lm
 from strictq import prequant as pq
@@ -237,46 +236,22 @@ def test_criterion_09_tangent_boundary():
 
 def test_criterion_10_landsman():
     axis = Grid1D(-12.0, 12.0, 384)
-    grid = Grid2D(axis, axis)
-    obs = GaussianObservable(0.2, -0.3, 1.0, 0.8)
-    f = sampled_gaussian(obs, grid)
-    flat = lm.metric_flat()
-    fiber = lm.fiber_fourier(f, flat).fiber
-    fsym = lm.gaussian_fiber_symbol(obs, flat, axis, fiber)
-    worst = 0.0
-    for hbar in (1.0, 0.5, 0.25):
-        kl = lm.landsman_kernel(fsym, hbar, flat)
-        kw = weyl_kernel(f, hbar, axis)
-        worst = max(worst,
-                    np.max(np.abs(kl.matrix - kw.matrix)) / np.max(np.abs(kw.matrix)))
+    flat, _, _ = lm.flat_transfer(GaussianObservable(0.2, -0.3, 1.0, 0.8), Grid2D(axis, axis),
+                                  HbarSchedule(1.0, 0.5, 3))
+    flat_ok = [row[0] for row in flat] == [1.0, 0.5, 0.25]
+    worst = max(gap / scale for _, gap, scale in flat)
 
+    # the exp2q report's Dirac rows, and the von Neumann defect at their hbars
+    hbars, dirac, _ = zip(*lm.exp2q_dirac(384, HbarSchedule(1.0, 0.5, 4))[0])
     exp2q = lm.metric_exp2q()
-    base = Grid1D(-2.0, 2.0, 384)
-    pax = Grid1D(-12.0, 12.0, 384)
-    grid2 = Grid2D(base, pax)
-    gA = GaussianObservable(0.0, -0.2, 0.05, 1.0)
-    gB = GaussianObservable(0.1, 0.3, 0.06, 0.9)
-    fA = sampled_gaussian(gA, grid2)
-    fB = sampled_gaussian(gB, grid2)
-    fiber2 = lm.fiber_fourier(fA, exp2q).fiber
-    sA = lm.gaussian_fiber_symbol(gA, exp2q, base, fiber2)
-    sB = lm.gaussian_fiber_symbol(gB, exp2q, base, fiber2)
-    sBr = lm.fiber_fourier(sample(poisson_field(fA.symbol, fB.symbol), grid2), exp2q)
-    sPr = lm.fiber_fourier(sample(fA.symbol * fB.symbol, grid2), exp2q)
-    adm = min(lm.hbar_admissible(s, exp2q) for s in (sA, sB, sBr, sPr))
-    dirac, vonn = [], []
-    for hbar in min(0.9 * adm, 0.16) * 0.5 ** np.arange(4):
-        ka = lm.landsman_kernel(sA, hbar, exp2q)
-        kb = lm.landsman_kernel(sB, hbar, exp2q)
-        kbr = lm.landsman_kernel(sBr, hbar, exp2q)
-        kpr = lm.landsman_kernel(sPr, hbar, exp2q)
-        bracket = asymptotics.quantum_bracket(ka, kb, hbar)
-        product = asymptotics.jordan(ka, kb)
-        dirac.append(op_norm(OperatorKernel(grid=base, matrix=kbr.matrix - bracket.matrix,
-                                            hbar=hbar)))
-        vonn.append(op_norm(OperatorKernel(grid=base, matrix=kpr.matrix - product.matrix,
-                                           hbar=hbar)))
-    seq_ok = bool(np.all(np.diff(dirac) < 0) and np.all(np.diff(vonn) < 0))
-    report(10, worst <= 1e-5 and seq_ok,
-           f"flat-metric equivalence rel sup {worst:.2e} (<=1e-5); exp2q axiom "
-           f"sequences decreasing: {seq_ok}")
+    fA, fB, sA, sB = lm.exp2q_pair(384)
+    sPr = lm.fiber_fourier(sample(fA.symbol * fB.symbol, fA.grid), exp2q)
+    vonn = []
+    for hbar in hbars:
+        ka, kb, kpr = (lm.landsman_kernel(s, hbar, exp2q) for s in (sA, sB, sPr))
+        diff = kpr.matrix - asymptotics.jordan(ka, kb).matrix
+        vonn.append(op_norm(OperatorKernel(grid=sA.base, matrix=diff, hbar=hbar)))
+    seq_ok = bool(len(hbars) == 4 and np.all(np.diff(dirac) < 0) and np.all(np.diff(vonn) < 0))
+    report(10, flat_ok and worst <= 1e-5 and seq_ok,
+           f"flat-metric equivalence rel sup {worst:.2e} (<=1e-5) at hbar 1, 1/2, 1/4: "
+           f"{flat_ok}; exp2q axiom sequences decreasing: {seq_ok}")

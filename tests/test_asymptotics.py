@@ -354,12 +354,15 @@ def test_star_warnings_tagged_with_first_hbar():
 
 def test_repeated_warning_kept_once_with_first_hbar():
     # a wide momentum profile has not decayed at the p-boundary, so every
-    # kernel raises the same warning
+    # kernel raises the same warning, kept once (and its own q-box edge content)
     wide = make(GaussianObservable(q0=0.0, p0=0.0, alpha=0.7, beta=8.0))
     rep = check_norm_limit(wide, HbarSchedule(0.5, 0.5, 3))
-    assert len(rep.warnings) == 1
-    assert rep.warnings[0].startswith("p-boundary decay")
-    assert rep.warnings[0].endswith("(first at hbar=0.5)")
+    assert rep.warnings == (
+        "p-boundary decay 1.07e-01 above tolerance (first at hbar=0.5)",
+        *(f"kernel content {r} at the edge of the q-box [-6, 6); widen the box "
+          f"(first at hbar={h})" for r, h in (("1.32e-03", 0.5), ("7.10e-04", 0.25),
+                                              ("4.80e-04", 0.125))),
+    )
 
 
 # -------------------------------------------------------------- report type

@@ -223,11 +223,13 @@ def test_positivity_unresolved_hbar_exits_2(tmp_path, capsys, hbar):
 
 
 def test_positivity_huge_hbar_raises_no_overflow(tmp_path, capsys):
-    # (hbar/2)^2 overflowed into an uncaught OverflowError.  The exit code is
-    # not asserted: no check yet refuses a box that holds only a flat sliver
-    # of a packet this wide
-    run(["positivity", "--hbar", "1e300", "--out", str(tmp_path / "pos.json")])
-    assert "Traceback" not in capsys.readouterr().err
+    # (hbar/2)^2 overflowed into an uncaught OverflowError at 1e300; there, and
+    # already at 100, the packet of width sqrt(2 alpha), alpha = sqrt(r) hbar/2,
+    # outgrows the +-16 box, which is refused, naming --box
+    for hbar in ("100", "1e300"):
+        assert run(["positivity", "--hbar", hbar, "--out", str(tmp_path / "pos.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("strictq: --box 16 at alpha=") and "truncates the packet" in err
 
 
 def test_positivity_single_threshold_point(tmp_path):
@@ -389,6 +391,14 @@ def test_landsman_exp2q_failure_reason(tmp_path, capsys):
     assert capsys.readouterr().err == "strictq landsman: failed exp2q dirac_defect; warnings: none\n"
 
 
+def test_landsman_flat_refuses_no_p_decay(tmp_path, capsys):
+    # on a box of +-3 the fiber transform that gives the fiber grid refuses
+    assert run(["landsman", "--metric", "flat", "--box", "3", "--n", "128",
+                "--out", str(tmp_path / "lm.json")]) == 2
+    assert capsys.readouterr().err == ("strictq: no decay at the p-boundary (relative edge "
+                                       "magnitude 1.14e-02); the fiber transform would wrap\n")
+
+
 def test_landsman_report_names_p_truncation(tmp_path, capsys):
     # on a box of +-5 the flat observable is truncated at the p-boundary: the
     # Weyl kernel's warnings reach the report, tagged with their first hbar
@@ -400,6 +410,8 @@ def test_landsman_report_names_p_truncation(tmp_path, capsys):
         "p-boundary decay 1.60e-06 above tolerance (first at hbar=0.015)",
         "kernel content 4.15e-08 at the resolved-band edge |q - q'| = 0.301593; refine the "
         "p-grid or use larger hbar (first at hbar=0.015)",
+        "kernel content 1.44e-05 at the edge of the q-box [-5, 5); widen the box "
+        "(first at hbar=0.015)",
     ]
 
 
@@ -461,6 +473,10 @@ def test_groupoid_report_names_decay_warnings(tmp_path, capsys):
     code = run(["groupoid", "--n", "96", "--box", "4", "--hbar-count", "2", "--out", str(out)])
     assert code == 1
     warnings = [
+        "kernel content 1.43e-03 at the edge of the q-box [-4, 4); widen the box "
+        "(first at hbar=0.5)",
+        "kernel content 4.60e-03 at the edge of the q-box [-4, 4); widen the box "
+        "(first at hbar=1)",
         "p-boundary decay 2.33e-04 above tolerance (first at hbar=1)",
         "p-boundary truncation: relative edge magnitude 2.33e-04 (first at hbar=1)",
         "sheared content 3.50e-03 where the shift wraps the x-box (first at hbar=1)",
@@ -485,7 +501,8 @@ def test_star_report(tmp_path):
 
 def test_star_report_names_band_edge_warnings(tmp_path, capsys):
     # the final product defect fails the 5% gate; the dequantization
-    # warnings that explain it reach the report and the stderr reason
+    # warnings that explain it reach the report and the stderr reason, as
+    # does the q-box edge content of Q(f) and Q(g) at hbar = 1
     out = tmp_path / "st.json"
     code = run(["star", "--n", "256", "--out", str(out)])
     assert code == 1
@@ -494,6 +511,10 @@ def test_star_report_names_band_edge_warnings(tmp_path, capsys):
     assert last[0] == 2.0 ** -6
     assert last[1] > 0.05 * data["config"]["classical_refs"]["product"]
     warnings = [
+        "kernel content 2.32e-07 at the edge of the q-box [-6, 6); widen the box "
+        "(first at hbar=1)",
+        "kernel content 2.36e-06 at the edge of the q-box [-6, 6); widen the box "
+        "(first at hbar=1)",
         "symbol content at the resolved momentum band edge |p| = 1.0472 "
         "(first at hbar=0.015625)",
         "symbol content at the resolved momentum band edge |p| = 2.0944 "

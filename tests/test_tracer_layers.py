@@ -3,11 +3,14 @@
 ``benchmarks/tracer.py`` names every traced function by module and
 attribute, and the dense solvers whose flops it counts by their names on
 ``strictq.weyl``; a rename in ``src`` would otherwise surface only as a
-crash of a traced benchmark run.  The tracer is loaded by path, unchanged.
+crash of a traced benchmark run, and so would a layer that ``import
+strictq.cli`` no longer loads.  The tracer is loaded by path, unchanged.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -41,3 +44,13 @@ def test_tracer_op_norm_solvers_resolve():
     solvers = list(load_tracer().OP_NORM_SOLVERS)
     assert solvers
     assert [name for name in solvers if not resolves("weyl", name)] == []
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the tracer finds its layers in sys.modules of a fresh ``import strictq.cli``
+    code = (f"import sys; sys.path.insert(0, {str(TRACER.parents[1] / 'src')!r}); "
+            "import strictq.cli; print([m for m in sys.argv[1:] if m not in sys.modules])")
+    modules = [f"strictq.{layer}" for layer in load_tracer().LAYERS]
+    done = subprocess.run([sys.executable, "-c", code, *modules], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

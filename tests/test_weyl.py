@@ -100,6 +100,15 @@ def test_kernel_aliasing_guard(box16):
     assert err.value.hbar_min == pytest.approx(floor)
 
 
+def test_kernel_warns_on_q_box_truncation():
+    # the default f of ``strictq axioms`` on its +-6 box: the edge rows and
+    # columns of Q(f) hold 2.2e-6 of its largest entry at hbar = 1, 5.9e-9 at 1/2
+    axis = Grid1D(-6.0, 6.0, 768)
+    f = sampled_gaussian(GaussianObservable(0.4, -0.2, 0.7, 0.5), Grid2D(axis, axis))
+    assert [weyl_kernel(f, hbar, axis).warnings for hbar in (1.0, 0.5)] == [
+        ("kernel content 2.19e-06 at the edge of the q-box [-6, 6); widen the box",), ()]
+
+
 # ------------------------------------------------------------------ apply
 
 def test_apply_identity(box16):
