@@ -88,6 +88,7 @@ def write_report(check: str, config: dict, columns: list, rows: list, path: str,
     config = dict(config)
     config["version"] = __version__
     config["conventions"] = CONVENTIONS
+    config["threads"] = weyl.thread_budget()
     rows = [[float(x) for x in row] for row in rows]
     if fmt == "json":
         payload = {"check": check, "config": config, "columns": columns, "rows": rows}

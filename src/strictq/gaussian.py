@@ -39,7 +39,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .core import DECAY_HARD_LIMIT, DecayError, Grid1D, boundary_decay
-from .weyl import AliasingError, OperatorKernel, WaveFunction
+from .weyl import AliasingError, OperatorKernel, WaveFunction, _blas_threads
 
 __all__ = [
     "GaussianObservable",
@@ -202,7 +202,8 @@ def positivity_verdict(g: GaussianObservable, hbar: float, qgrid: Grid1D) -> dic
     since the discrete eigenvalue floor is grid dependent.
     """
     kernel = gaussian_kernel_closed_form(g, hbar, qgrid)
-    eigs = eigvalsh(kernel.matrix) * qgrid.delta
+    with _blas_threads(qgrid.n):
+        eigs = eigvalsh(kernel.matrix) * qgrid.delta
     min_eig = float(eigs[0])
     scale = float(np.max(np.abs(eigs)))
     return {

@@ -91,21 +91,44 @@ involves its own rows alone, so every row is computed by the same
 operations whichever lane takes it and however many lanes there are:
 results are bit-identical for every lane count.  The kernel build,
 dequantization and the tangent-boundary check all reach the lanes through
-:func:`_on_lanes`.
+:func:`_on_lanes`.  The lanes and the BLAS threads of the dense solves
+share one thread budget per process, and never run at the same time.
 
 Dense solves.  :func:`op_norm` takes ``eigvalsh`` and ``svdvals`` from
 ``numpy.linalg``, on the OpenBLAS that also runs the ``@`` of
 :func:`compose` and :func:`apply`.  The package imports no scipy module,
-so scipy's second OpenBLAS, whose thread pool would wait behind the
-threads that numpy's last call left spinning, is never loaded: every
-dense solve runs on the one pool.
+so scipy's second OpenBLAS is never loaded: every dense solve runs on the
+one pool, whose size this module owns.  On import it sets numpy's OpenBLAS
+to one thread, through the library's own thread setter.  Only the solves
+and products of :func:`op_norm`, :func:`compose` and
+:func:`strictq.gaussian.positivity_verdict` at ``n >= WIDE_FROM_N`` run on
+one BLAS thread per lane (never more than OpenBLAS started with), through
+:func:`_blas_threads`, which goes back to one thread when they return.  The reason is
+OpenBLAS's helper thread: after each multi-threaded call it spins, for
+about 0.12 s of CPU, waiting for the next one.  Below n = 768 the second
+thread buys nothing to pay for that spin, and two processes' spinning
+helpers on two cores starve each other.  Milliseconds, best of 3, one
+thread against two, on a 2-core host::
+
+    n      eigvalsh    svdvals    matmul
+    384    19.5/20.6   30/35      5.7/4.2
+    512    45/43       87/69      13.6/9.1
+    768    140/94      298/188    47/23
+
+Where numpy is built on another BLAS no setter is found and the threads
+are left as that BLAS chose them.  :func:`thread_budget` is the record
+that every report's config carries: bits of a dense solve can depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,6 +181,60 @@ def _lane_count() -> int:
 
 #: Chirp-z row blocks run on this many lanes at once, one per usable CPU.
 _LANES = _lane_count()
+
+#: Dense solves and products of at least this size run on one BLAS thread
+#: per lane, smaller ones on one thread (module docstring, "Dense solves").
+WIDE_FROM_N = 768
+
+
+def _openblas_threads():
+    """The thread-count setter and getter of the OpenBLAS bundled with numpy,
+    or ``None`` when numpy was built on another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+_BLAS = _openblas_threads()
+#: The threads OpenBLAS started with (``OPENBLAS_NUM_THREADS`` or the CPUs),
+#: which caps the wide solves; then one thread until a wide solve.
+_BLAS_START = None
+if _BLAS is not None:
+    _BLAS_START = _BLAS[1]()
+    _BLAS[0](1)
+
+
+def thread_budget() -> dict:
+    """The process's threads: ``lanes``, the BLAS threads of a dense solve
+    (``blas``) and of one of size ``>= wide_from_n`` (``blas_wide``);
+    ``blas`` and ``blas_wide`` are ``None`` when no OpenBLAS setter was found."""
+    found = _BLAS is not None
+    return {"lanes": _LANES, "blas": 1 if found else None,
+            "blas_wide": min(_LANES, _BLAS_START) if found else None,
+            "wide_from_n": WIDE_FROM_N}
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run the body's dense solve of size ``n`` on ``blas_wide`` BLAS threads
+    when ``n >= WIDE_FROM_N``, on the standing one otherwise."""
+    wide = thread_budget()["blas_wide"]
+    if n < WIDE_FROM_N or wide is None or wide == 1:
+        yield
+        return
+    _BLAS[0](wide)
+    try:
+        yield
+    finally:
+        _BLAS[0](1)
 
 
 def _on_lanes(n_rows: int, width: int, task) -> None:
@@ -436,7 +513,7 @@ def op_norm(kernel: OperatorKernel) -> float:
     (``eigvalsh`` when the matrix is Hermitian to 1e-13).
 
     Both solvers are ``numpy.linalg``'s, so they share one BLAS pool with
-    ``@`` (module docstring, "Dense solves")."""
+    ``@``, sized by :func:`_blas_threads` (module docstring, "Dense solves")."""
     m = kernel.matrix
     n = m.shape[0]
     if n > MAX_DENSE_N:
@@ -444,9 +521,10 @@ def op_norm(kernel: OperatorKernel) -> float:
     scale = np.max(np.abs(m))
     if scale == 0.0:
         return 0.0
-    if np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale:
-        return float(np.max(np.abs(eigvalsh(m)))) * kernel.grid.delta
-    return float(svdvals(m)[0]) * kernel.grid.delta
+    hermitian = np.max(np.abs(m - m.conj().T)) <= 1e-13 * scale
+    with _blas_threads(n):
+        top = np.max(np.abs(eigvalsh(m))) if hermitian else svdvals(m)[0]
+    return float(top) * kernel.grid.delta
 
 
 def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
@@ -455,9 +533,11 @@ def compose(a: OperatorKernel, b: OperatorKernel) -> OperatorKernel:
         raise GridError("compose needs kernels on the same grid")
     if a.hbar != b.hbar:
         raise ValueError(f"compose needs equal hbar, got {a.hbar} and {b.hbar}")
+    with _blas_threads(a.matrix.shape[0]):
+        matrix = a.matrix @ b.matrix * a.grid.delta
     return OperatorKernel(
         grid=a.grid,
-        matrix=a.matrix @ b.matrix * a.grid.delta,
+        matrix=matrix,
         hbar=a.hbar,
         warnings=tuple(dict.fromkeys(a.warnings + b.warnings)),
     )

@@ -18,7 +18,7 @@ from strictq.gaussian import (
 )
 from strictq.weyl import AliasingError, op_norm, star_product, weyl_kernel
 
-from conftest import chi_vector, expectation_quadrature, sampled_gaussian
+from conftest import chi_vector, sampled_gaussian
 
 QGRID = Grid1D(-20.0, 20.0, 1024)
 
@@ -159,17 +159,6 @@ def test_expectation_sign_is_sign_of_theta():
         val = expectation_closed_form(g, sigma, hbar)
         assert np.sign(val) == np.sign(inter.theta)
         assert inter.dee > 0
-
-
-def test_expectation_matches_quadrature_sweep():
-    hbar = 1.0
-    for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.1, 0.3, 1.2):
-            for sigma in (0.7, 1.0, 2.0):
-                g = GaussianObservable(q0=0.3, p0=0.9, alpha=alpha, beta=beta)
-                closed = expectation_closed_form(g, sigma, hbar)
-                quad = expectation_quadrature(g, sigma, hbar, QGRID)
-                assert abs(closed - quad) / max(abs(quad), 1e-12) < 1e-5
 
 
 def test_expectation_degenerate_parameters():

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -15,6 +16,7 @@ from scipy.fft import next_fast_len
 
 import strictq
 from strictq import weyl
+from strictq.cli import write_report
 from strictq.core import Grid1D, Grid2D, quadrature, sample, trig_shift
 from strictq.gaussian import GaussianObservable
 from strictq.groupoid import canonical_family, tangent_boundary_check
@@ -859,6 +861,92 @@ def test_forked_child_builds_kernels(monkeypatch):
             pytest.fail("the forked child did not finish its kernel within 60 s")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ------------------------------------------------------- thread budget
+
+needs_setter = pytest.mark.skipif(weyl._BLAS is None,
+                                  reason="numpy's BLAS has no OpenBLAS thread setter")
+
+
+def hermitian_kernel(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    return OperatorKernel(grid=Grid1D(-6.0, 6.0, n), matrix=(a + a.T).astype(complex), hbar=1.0)
+
+
+@needs_setter
+def test_thread_budget_in_force_is_the_recorded_one(monkeypatch, tmp_path):
+    # one BLAS thread, but for the solve of a wide op_norm, and the report
+    # config names what was in force
+    get = weyl._BLAS[1]
+    assert get() == 1
+    seen = []
+
+    def spy(m):
+        seen.append((m.shape[0], get()))
+        return np.linalg.eigvalsh(m)
+
+    monkeypatch.setattr(weyl, "eigvalsh", spy)
+    for n in (768, 384):
+        op_norm(hermitian_kernel(n))
+        assert get() == 1
+    out = tmp_path / "r.json"
+    write_report("budget", {}, [], [], str(out), "json")
+    with open(out) as fh:
+        threads = json.load(fh)["config"]["threads"]
+    assert seen == [(768, threads["blas_wide"]), (384, 1)]
+    assert threads == {"lanes": weyl._LANES, "blas": 1, "blas_wide": seen[0][1],
+                       "wide_from_n": weyl.WIDE_FROM_N}
+    assert weyl.WIDE_FROM_N == 768
+
+
+_BUDGET_SCRIPT = """
+import json
+from strictq import weyl
+print(json.dumps([weyl._BLAS[1](), weyl.thread_budget()]))
+"""
+
+
+@needs_setter
+@pytest.mark.parametrize("setting", [None, "1"])
+def test_import_sets_one_blas_thread_and_one_per_lane_for_wide_solves(setting):
+    # a wide solve takes a BLAS thread per lane, but never more threads
+    # than OpenBLAS was started with
+    src = os.path.dirname(os.path.dirname(strictq.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    done = subprocess.run([sys.executable, "-c", _BUDGET_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    lanes = weyl._lane_count()
+    assert json.loads(done.stdout) == [1, {"lanes": lanes, "blas": 1,
+                                           "blas_wide": lanes if setting is None else 1,
+                                           "wide_from_n": 768}]
+
+
+@needs_setter
+def test_no_blas_spin_after_a_narrow_solve():
+    # a multi-threaded OpenBLAS call leaves its helper spinning for about
+    # 0.12 s of CPU; a narrow op_norm runs on one thread and leaves none.
+    # The first sleep lets the spin of any earlier wide solve run out
+    time.sleep(0.3)
+    op_norm(hermitian_kernel(384))
+    start = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - start < 0.05
+
+
+def test_without_openblas_threads_are_left_alone(monkeypatch):
+    monkeypatch.setattr(weyl.glob, "glob", lambda pattern: [])
+    assert weyl._openblas_threads() is None
+    monkeypatch.setattr(weyl, "_BLAS", None)
+    assert weyl.thread_budget() == {"lanes": weyl._LANES, "blas": None, "blas_wide": None,
+                                    "wide_from_n": 768}
+    kernel = hermitian_kernel(768)
+    want = np.linalg.eigvalsh(kernel.matrix)
+    assert op_norm(kernel) == float(np.max(np.abs(want))) * kernel.grid.delta
 
 
 # ------------------------------------------------------- warning order
