@@ -116,9 +116,9 @@ class AxiomReport:
         if np.any(np.asarray(self.defects) < 0):
             raise ValueError("defects must be nonnegative")
 
-    def passes(self, fraction: float = PASS_FRACTION) -> bool:
+    def passes(self) -> bool:
         scale = self.classical_ref if self.classical_ref > 0 else 1.0
-        return bool(self.defects[-1] <= fraction * scale)
+        return bool(self.defects[-1] <= PASS_FRACTION * scale)
 
 
 def _jordan_of(ab: OperatorKernel, ba: OperatorKernel) -> OperatorKernel:

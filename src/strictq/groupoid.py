@@ -146,13 +146,14 @@ def deformed_convolve(f: GroupoidFunction, g: GroupoidFunction) -> GroupoidFunct
             if decay > 1e-6:
                 warnings.add(f"{name} has weak {ax_name}-boundary decay {decay:.1e}")
 
-    gx = np.fft.fft(g.values, axis=0)
+    # y_j - z_k = y_{j-k} - z_0: one y-shift by -z_0, then a roll by k per sample; the
+    # even-n Nyquist cosine agrees, as cos(k_N (z_0 + k dy)) = (-1)^k cos(k_N z_0)
+    gx = np.fft.fft(trig_shift(g.values, 1, -z[0], yaxis.delta), axis=0)
     factors = shift_factors(xaxis.n, xaxis.delta, eps * z)
     out = np.zeros_like(f.values, dtype=complex)
-    for k, zk in enumerate(z):
+    for k in range(z.size):
         shifted = np.fft.ifft(gx * factors[:, k, None], axis=0)
-        shifted = trig_shift(shifted, 1, -zk, yaxis.delta)
-        out += f.values[:, k, None] * shifted
+        out += f.values[:, k, None] * np.roll(shifted, k, axis=1)
     out *= yaxis.delta
     return GroupoidFunction(grid=f.grid, values=out, epsilon=eps,
                             warnings=tuple(sorted(warnings)))

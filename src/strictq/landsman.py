@@ -74,6 +74,12 @@ __all__ = [
 ]
 
 
+#: Cells of the numeric arclength table on ``[lo, hi]``.
+ARCLENGTH_CELLS = 8192
+#: Relative fiber magnitude below which a symbol counts as outside its support.
+SUPPORT_TOL = 1e-12
+
+
 class DomainError(ValueError):
     """Raised when a geodesic leaves the metric's domain."""
 
@@ -111,13 +117,10 @@ class Metric1D:
         if (self.s is None) != (self.s_inv is None):
             raise ValueError("supply both s and s_inv or neither")
         if self.s is None:
-            self._build_arclength()
-
-    def _build_arclength(self, cells: int = 8192):
-        edges = np.linspace(self.lo, self.hi, cells + 1)
-        increments = self._gauss_legendre(edges[:-1], edges[1] - edges[0])
-        self._tables["edges"] = edges
-        self._tables["s_edges"] = np.concatenate([[0.0], np.cumsum(increments)])
+            edges = np.linspace(self.lo, self.hi, ARCLENGTH_CELLS + 1)
+            increments = self._gauss_legendre(edges[:-1], edges[1] - edges[0])
+            self._tables["edges"] = edges
+            self._tables["s_edges"] = np.concatenate([[0.0], np.cumsum(increments)])
 
     def _gauss_legendre(self, a, h):
         """``int_a^{a+h} sqrt(g)`` for each a (and h), by 3-point Gauss-Legendre."""
@@ -289,12 +292,12 @@ class FiberSymbol:
         return out
 
 
-def _support_radius(values: np.ndarray, fiber: Grid1D, tol: float = 1e-12) -> float:
+def _support_radius(values: np.ndarray, fiber: Grid1D) -> float:
     mags = np.max(np.abs(values), axis=0)
     scale = mags.max()
     if scale == 0.0:
         return fiber.delta
-    alive = np.abs(fiber.points[mags > tol * scale])
+    alive = np.abs(fiber.points[mags > SUPPORT_TOL * scale])
     return float(alive.max()) + fiber.delta if alive.size else fiber.delta
 
 

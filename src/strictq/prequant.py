@@ -10,8 +10,9 @@ Everything here is exact symbol pushing: observables are finite Fourier
 sums of ``e^{2 pi i (m x + k y)}``, the theta = 0 elements of
 :mod:`strictq.rotation` (which also holds the bracket :func:`poisson_torus`
 used here), and sections are finite sums of terms
-``y^d e^{2 pi i (a x + b y)}``.  That ring is closed under Q_N(f)
-(multiplication by y raises the degree d by one), so Dirac's condition
+``y^d e^{2 pi i (a x + b y)}``, held as ``{(a, b, d): coefficient}`` dicts.
+That ring is closed under Q_N(f) (multiplication by y raises the degree d
+by one), so Dirac's condition
 
     [Q_N(f), Q_N(g)] = i hbar Q_N({f, g}),
     hbar = 1/(2 pi),  {f, g} = (1/N)(d_x f d_y g - d_y f d_x g)
@@ -40,8 +41,8 @@ y phi, the degree lowering d phi[d] for d_y, multiplication by a or b)
 written into the output at offset (m, k).  Memory scales with the
 hull, S * (degree + 1) * (a-span) * (b-span), not with the number of
 terms: a few sections far apart in a or b cost a large, mostly zero
-block.  The block reproduces the term-wise arithmetic of
-:class:`TrigSection` bit for bit, under two rules:
+block.  The block reproduces the term-wise arithmetic of the tests'
+dict oracle bit for bit, under two rules:
 
 * a product with a general complex coefficient is formed as
   ``c.real * X + (1j * c.imag) * X``.  numpy's complex-by-complex
@@ -54,15 +55,13 @@ block.  The block reproduces the term-wise arithmetic of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .rotation import TORUS_HBAR, RotAlgElement, _clean, poisson_torus, torus_observable
+from .rotation import TORUS_HBAR, RotAlgElement, poisson_torus, torus_observable
 
 __all__ = [
-    "TrigSection",
     "DegreeCapError",
     "DEGREE_CAP",
     "trig_section",
@@ -84,66 +83,18 @@ class DegreeCapError(ValueError):
     """Raised when an operation would exceed the configured y-degree cap."""
 
 
-@dataclass(frozen=True)
-class TrigSection:
-    """Finite sum of terms coeff * y^d * e^{2 pi i (a x + b y)}.
-
-    Keys of ``terms`` are integer triples (a, b, d) with d >= 0.  The
-    term-wise arithmetic below is the dict form of the operator that
-    :func:`prequant_apply` evaluates on arrays.
-    """
-
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (a, b, d) in self.terms:
-            if d < 0:
-                raise ValueError(f"negative y-degree in term ({a}, {b}, {d})")
-
-    def __add__(self, other: "TrigSection") -> "TrigSection":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return TrigSection(_clean(out))
-
-    def __sub__(self, other: "TrigSection") -> "TrigSection":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "TrigSection":
-        return TrigSection(_clean({k: scalar * c for k, c in self.terms.items()}))
-
-    def sup_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    # term-wise calculus
-    def d_x(self) -> "TrigSection":
-        return TrigSection(_clean({(a, b, d): 2j * np.pi * a * c
-                                   for (a, b, d), c in self.terms.items()}))
-
-    def d_y(self) -> "TrigSection":
-        out: dict = {}
-        for (a, b, d), c in self.terms.items():
-            if d > 0:
-                key = (a, b, d - 1)
-                out[key] = out.get(key, 0.0) + c * d
-            key = (a, b, d)
-            out[key] = out.get(key, 0.0) + 2j * np.pi * b * c
-        return TrigSection(_clean(out))
-
-    def mul_y(self, cap: int = DEGREE_CAP) -> "TrigSection":
-        degree = max((d for (_, _, d) in self.terms), default=0)
-        if degree + 1 > cap:
-            raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
-        return TrigSection({(a, b, d + 1): c for (a, b, d), c in self.terms.items()})
-
-    def mul_exp(self, m: int, k: int) -> "TrigSection":
-        return TrigSection({(a + m, b + k, d): c for (a, b, d), c in self.terms.items()})
+def _check_degrees(keys) -> None:
+    for (a, b, d) in keys:
+        if d < 0:
+            raise ValueError(f"negative y-degree in term ({a}, {b}, {d})")
 
 
-def trig_section(terms: dict) -> TrigSection:
-    """Constructor from {(a, b, d): coefficient}."""
-    return TrigSection({(int(a), int(b), int(d)): complex(c)
-                        for (a, b, d), c in terms.items()})
+def trig_section(terms: dict) -> dict:
+    """The section with int keys (a, b, d >= 0) and complex coefficients; zeros
+    are kept, as their degree counts against the cap."""
+    out = {(int(a), int(b), int(d)): complex(c) for (a, b, d), c in terms.items()}
+    _check_degrees(out)
+    return out
 
 
 def sin_x() -> RotAlgElement:
@@ -178,7 +129,8 @@ class _Block(NamedTuple):
 
 
 def _pack(sections) -> _Block:
-    keys = [key for phi in sections for key in phi.terms]
+    keys = [key for phi in sections for key in phi]
+    _check_degrees(keys)  # a raw dict's d = -1 would land in the top degree slot
     a0 = min((a for a, _, _ in keys), default=0)
     b0 = min((b for _, b, _ in keys), default=0)
     shape = (len(sections),
@@ -187,16 +139,16 @@ def _pack(sections) -> _Block:
              max((b for _, b, _ in keys), default=b0) - b0 + 1)
     X = np.zeros(shape, dtype=complex)
     for s, phi in enumerate(sections):
-        for (a, b, d), c in phi.terms.items():
+        for (a, b, d), c in phi.items():
             X[s, d, a - a0, b - b0] = c
     return _Block(X, a0, b0, shape[1] - 1)
 
 
-def _section(block: _Block) -> TrigSection:
+def _section(block: _Block) -> dict:
     """The first section of the block, as its nonzero terms."""
     X = block.X[0]
-    return TrigSection({(block.a0 + int(a), block.b0 + int(b), int(d)): complex(X[d, a, b])
-                        for d, a, b in zip(*np.nonzero(X))})
+    return {(block.a0 + int(a), block.b0 + int(b), int(d)): complex(X[d, a, b])
+            for d, a, b in zip(*np.nonzero(X))}
 
 
 def _sup(X: np.ndarray) -> np.ndarray:
@@ -261,8 +213,7 @@ def _aligned(*blocks: _Block) -> list:
     return out
 
 
-def prequant_apply(f: RotAlgElement, phi: TrigSection, N: int,
-                   cap: int = DEGREE_CAP) -> TrigSection:
+def prequant_apply(f: RotAlgElement, phi: dict, N: int, cap: int = DEGREE_CAP) -> dict:
     """Apply the prequantization operator of f to a section, exactly.
 
     For a single Fourier mode e^{2 pi i (m x + k y)} the operator reduces to
@@ -307,15 +258,10 @@ def sin_cos_anomaly(N: int, probe_range: int, pair: str = "x",
     the residual for a = 1..probe_range; unboundedness shows up as
     growth without bound in a.
     """
-    if pair == "x":
-        s, c = sin_x(), cos_x()
-        probe = lambda a: trig_section({(0, a, 0): 1.0})
-    elif pair == "y":
-        s, c = sin_y(), cos_y()
-        probe = lambda a: trig_section({(a, 0, 0): 1.0})
-    else:
+    if pair not in ("x", "y"):
         raise ValueError(f"pair must be 'x' or 'y', got {pair!r}")
-    probes = [probe(a) for a in range(1, probe_range + 1)]
+    s, c = (sin_x(), cos_x()) if pair == "x" else (sin_y(), cos_y())
+    probes = [{(0, a, 0) if pair == "x" else (a, 0, 0): 1.0} for a in range(1, probe_range + 1)]
     if not probes:
         return {"growth": np.array([])}
     phi = _pack(probes)

@@ -110,10 +110,10 @@ class RotAlgElement:
             out = out + c * np.exp(2j * np.pi * (m * np.asarray(x) + k * np.asarray(y)))
         return out
 
-    def is_real(self, tol: float = 0.0) -> bool:
+    def is_real(self) -> bool:
         """Fixed by :func:`involution`; at theta = 0, a real-valued function."""
         star = involution(self)
-        return all(abs(star.coeff(*mk) - self.coeff(*mk)) <= tol
+        return all(star.coeff(*mk) == self.coeff(*mk)
                    for mk in self.terms.keys() | star.terms.keys())
 
 

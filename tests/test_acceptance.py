@@ -102,7 +102,7 @@ def test_criterion_04_strict_quantization_axioms():
         d = rep.defects
         return bool(np.all(np.diff(d[2:]) <= 0))
 
-    seq_ok = all(decreasing_from_2(r) and r.passes(0.05)
+    seq_ok = all(decreasing_from_2(r) and r.passes()
                  for r in (dirac, vonn, star_p, star_b))
     norm_ok = abs(norm.defects[-1]) <= 0.05 * 2.0 and abs(norm.classical_ref - 2.0) < 1e-3
     elapsed = time.time() - t0

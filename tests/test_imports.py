@@ -18,9 +18,13 @@ start-up time and load scipy's own OpenBLAS, whose thread pool would
 wait behind the threads of numpy's, and the other way round.  A fresh
 interpreter that imports ``strictq.cli`` is checked to hold no
 ``scipy`` module.
+
+Every name that a package module lists in ``__all__`` resolves on the
+module, so a deleted name cannot stay behind in its export list.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -118,6 +122,13 @@ def test_no_imports_inside_functions(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_scipy_linalg(path):
     assert scipy_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_all_names_resolve(path):
+    name = "strictq" if path.stem == "__init__" else f"strictq.{path.stem}"
+    module = importlib.import_module(name)
+    assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
 
 
 def test_cli_import_loads_no_scipy():

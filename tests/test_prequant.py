@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from strictq.prequant import (
     DEGREE_CAP,
     DegreeCapError,
-    TrigSection,
     cos_x,
     cos_y,
     dirac_identity_check,
@@ -40,32 +39,84 @@ def random_section(rng, span=2, max_deg=2, terms=3):
     return trig_section(out)
 
 
+# ------------------------------------------------- dict oracle of the operator
+# Sections are {(a, b, d): coefficient} dicts.  The term-wise arithmetic below
+# (a zero sum drops its key) is the reference that prequant's block evaluation
+# reproduces bit for bit.
+
+def clean(phi):
+    return {key: c for key, c in phi.items() if c != 0.0}
+
+
+def add(phi, psi):
+    out = dict(phi)
+    for key, c in psi.items():
+        out[key] = out.get(key, 0.0) + c
+    return clean(out)
+
+
+def scale(s, phi):
+    return clean({key: s * c for key, c in phi.items()})
+
+
+def sub(phi, psi):
+    return add(phi, scale(-1.0, psi))
+
+
+def sup_coeff(phi):
+    return max((abs(c) for c in phi.values()), default=0.0)
+
+
+def d_x(phi):
+    return clean({(a, b, d): 2j * np.pi * a * c for (a, b, d), c in phi.items()})
+
+
+def d_y(phi):
+    out = {}
+    for (a, b, d), c in phi.items():
+        if d > 0:
+            out[(a, b, d - 1)] = out.get((a, b, d - 1), 0.0) + c * d
+        out[(a, b, d)] = out.get((a, b, d), 0.0) + 2j * np.pi * b * c
+    return clean(out)
+
+
+def mul_y(phi, cap=DEGREE_CAP):
+    degree = max((d for (_, _, d) in phi), default=0)
+    if degree + 1 > cap:
+        raise DegreeCapError(f"y-degree {degree + 1} exceeds cap {cap}")
+    return {(a, b, d + 1): c for (a, b, d), c in phi.items()}
+
+
+def mul_exp(phi, m, k):
+    return {(a + m, b + k, d): c for (a, b, d), c in phi.items()}
+
+
 def oracle_prequant_apply(f, phi, N, cap=DEGREE_CAP):
-    """Q_N(f) phi by TrigSection arithmetic, one section per term of the formula."""
-    out = TrigSection({})
-    phi_x = phi.d_x()
-    phi_y = phi.d_y()
-    y_phi = phi.mul_y(cap)
+    """Q_N(f) phi by dict arithmetic, one section per term of the formula."""
+    out = {}
+    phi_x = d_x(phi)
+    phi_y = d_y(phi)
+    y_phi = mul_y(phi, cap)
     for (m, k), c in f.terms.items():
         inner = phi
         if k != 0:
-            inner = inner + (k / N) * phi_x - (k / N) * (2j * np.pi * N) * y_phi
+            kn = k / N
+            inner = sub(add(inner, scale(kn, phi_x)), scale(kn * (2j * np.pi * N), y_phi))
         if m != 0:
-            inner = inner - (m / N) * phi_y
-        out = out + c * inner.mul_exp(m, k)
+            inner = sub(inner, scale(m / N, phi_y))
+        out = add(out, scale(c, mul_exp(inner, m, k)))
     return out
 
 
 def oracle_dirac_identity_check(f, g, N, test_sections, cap=DEGREE_CAP):
-    """The Dirac residual by TrigSection arithmetic, one section at a time."""
+    """The Dirac residual by dict arithmetic, one section at a time."""
     bracket = poisson_torus(f, g, N)
     worst = 0.0
     for phi in test_sections:
-        lhs = (oracle_prequant_apply(f, oracle_prequant_apply(g, phi, N, cap), N, cap)
-               - oracle_prequant_apply(g, oracle_prequant_apply(f, phi, N, cap), N, cap))
-        rhs = (1j * TORUS_HBAR) * oracle_prequant_apply(bracket, phi, N, cap)
-        scale = max(lhs.sup_coeff(), rhs.sup_coeff(), 1.0)
-        worst = max(worst, (lhs - rhs).sup_coeff() / scale)
+        lhs = sub(oracle_prequant_apply(f, oracle_prequant_apply(g, phi, N, cap), N, cap),
+                  oracle_prequant_apply(g, oracle_prequant_apply(f, phi, N, cap), N, cap))
+        rhs = scale(1j * TORUS_HBAR, oracle_prequant_apply(bracket, phi, N, cap))
+        worst = max(worst, sup_coeff(sub(lhs, rhs)) / max(sup_coeff(lhs), sup_coeff(rhs), 1.0))
     return {"max_residual": worst}
 
 
@@ -74,19 +125,19 @@ def oracle_sin_cos_anomaly(N, probe_range, pair):
     growth = []
     for a in range(1, probe_range + 1):
         phi = trig_section({(0, a, 0) if pair == "x" else (a, 0, 0): 1.0})
-        r = (oracle_prequant_apply(s, oracle_prequant_apply(s, phi, N), N)
-             + oracle_prequant_apply(c, oracle_prequant_apply(c, phi, N), N) - phi)
-        growth.append(r.sup_coeff())
+        r = sub(add(oracle_prequant_apply(s, oracle_prequant_apply(s, phi, N), N),
+                    oracle_prequant_apply(c, oracle_prequant_apply(c, phi, N), N)), phi)
+        growth.append(sup_coeff(r))
     return np.array(growth)
 
 
 def outcome(fn, *args):
-    """The result's terms (or the value), or DegreeCapError if it was raised."""
+    """The result, or DegreeCapError if it was raised."""
     try:
         out = fn(*args)
     except DegreeCapError:
         return DegreeCapError
-    return getattr(out, "terms", out)
+    return out
 
 
 coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -115,7 +166,7 @@ def test_unit_observable_is_identity():
     phi = trig_section({(1, 2, 2): 1 + 1j, (0, 0, 0): 2.0, (-1, 1, 0): 0.5j})
     one = torus_observable({(0, 0): 1.0})
     out = prequant_apply(one, phi, 3)
-    assert (out - phi).sup_coeff() == 0.0
+    assert sup_coeff(sub(out, phi)) == 0.0
 
 
 def test_against_sympy_oracle():
@@ -142,7 +193,7 @@ def test_against_sympy_oracle():
         got = prequant_apply(torus_observable(f_terms), trig_section({(a, b, d): 1.0}), N)
         got_expr = sp.expand(sum(
             c * y**dd * sp.exp(2 * sp.pi * sp.I * (aa * x + bb * y))
-            for (aa, bb, dd), c in got.terms.items()
+            for (aa, bb, dd), c in got.items()
         ))
         diff = sp.simplify(oracle - got_expr)
         # numeric probe of the symbolic difference at irrational points
@@ -162,23 +213,22 @@ def test_linearity_exact():
         for key in set(f.terms) | set(g.terms)
     })
     lhs = prequant_apply(combined_f, phi, N)
-    rhs = prequant_apply(f, phi, N) + 2.5 * prequant_apply(g, phi, N)
-    assert (lhs - rhs).sup_coeff() < 1e-14 * max(lhs.sup_coeff(), 1.0)
-    combined_phi = phi + (0.5 - 1j) * psi
+    rhs = add(prequant_apply(f, phi, N), scale(2.5, prequant_apply(g, phi, N)))
+    assert sup_coeff(sub(lhs, rhs)) < 1e-14 * max(sup_coeff(lhs), 1.0)
+    combined_phi = add(phi, scale(0.5 - 1j, psi))
     lhs2 = prequant_apply(f, combined_phi, N)
-    rhs2 = prequant_apply(f, phi, N) + (0.5 - 1j) * prequant_apply(f, psi, N)
-    assert (lhs2 - rhs2).sup_coeff() < 1e-14 * max(lhs2.sup_coeff(), 1.0)
+    rhs2 = add(prequant_apply(f, phi, N), scale(0.5 - 1j, prequant_apply(f, psi, N)))
+    assert sup_coeff(sub(lhs2, rhs2)) < 1e-14 * max(sup_coeff(lhs2), 1.0)
 
 
 @settings(max_examples=200)
 @given(f=observables, g=observables, phi=sections, N=st.integers(1, 8))
 def test_apply_matches_section_arithmetic_bit_for_bit(f, g, phi, N):
     # same per-key arithmetic in the same order: equal coefficients, not close ones
-    assert prequant_apply(f, phi, N).terms == oracle_prequant_apply(f, phi, N).terms
+    assert prequant_apply(f, phi, N) == oracle_prequant_apply(f, phi, N)
     inner = prequant_apply(g, phi, N, cap=12)
-    assert inner.terms == oracle_prequant_apply(g, phi, N, cap=12).terms
-    assert (prequant_apply(f, inner, N, cap=12).terms
-            == oracle_prequant_apply(f, inner, N, cap=12).terms)
+    assert inner == oracle_prequant_apply(g, phi, N, cap=12)
+    assert prequant_apply(f, inner, N, cap=12) == oracle_prequant_apply(f, inner, N, cap=12)
 
 
 @settings(max_examples=150)
@@ -226,6 +276,18 @@ def test_degree_cap_raised_where_section_arithmetic_raises(cap):
                 for g in obs:
                     assert (outcome(dirac_identity_check, f, g, 2, sections, cap)
                             == outcome(oracle_dirac_identity_check, f, g, 2, sections, cap))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda f, phi: prequant_apply(f, phi, 2),
+    lambda f, phi: dirac_identity_check(f, f, 2, [{(0, 0, 0): 1.0}, phi]),
+    lambda f, phi: trig_section(phi),
+], ids=["prequant_apply", "dirac_identity_check", "trig_section"])
+def test_negative_degree_rejected_in_raw_dicts(apply):
+    # a raw dict reaches the packer unchecked; d = -1 must not land in the top degree slot
+    f = torus_observable({(1, 0): 1.0, (0, 1): 0.5})
+    with pytest.raises(ValueError, match=r"negative y-degree in term \(0, 0, -1\)"):
+        apply(f, {(0, 0, -1): 1.0})
 
 
 def test_nonpositive_N_rejected():
@@ -335,12 +397,9 @@ def test_anomaly_matches_section_arithmetic_bit_for_bit(N, probe_range):
 
 def test_anomaly_constants_are_flat():
     const = trig_section({(0, 0, 0): 1.0})
-    r = (
-        prequant_apply(sin_x(), prequant_apply(sin_x(), const, 1), 1)
-        + prequant_apply(cos_x(), prequant_apply(cos_x(), const, 1), 1)
-        - const
-    )
-    assert r.sup_coeff() == 0.0
+    r = sub(add(prequant_apply(sin_x(), prequant_apply(sin_x(), const, 1), 1),
+                prequant_apply(cos_x(), prequant_apply(cos_x(), const, 1), 1)), const)
+    assert sup_coeff(r) == 0.0
 
 
 # ------------------------------------------------------------ reality pairing
@@ -355,11 +414,11 @@ def _moment(d: int, b: int) -> complex:
     return (1.0 - d * _moment(d - 1, b)) / (2j * np.pi * b)
 
 
-def inner_product(phi: TrigSection, psi: TrigSection) -> complex:
+def inner_product(phi: dict, psi: dict) -> complex:
     """Exact torus inner product <phi, psi> = int conj(phi) psi dx dy."""
     total = 0.0 + 0.0j
-    for (a1, b1, d1), c1 in phi.terms.items():
-        for (a2, b2, d2), c2 in psi.terms.items():
+    for (a1, b1, d1), c1 in phi.items():
+        for (a2, b2, d2), c2 in psi.items():
             if a1 != a2:
                 continue
             total += np.conj(c1) * c2 * _moment(d1 + d2, b2 - b1)
