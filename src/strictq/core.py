@@ -88,6 +88,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        if not np.isfinite([self.lo, self.hi]).all():
+            raise GridError(f"need finite ends, got [{self.lo}, {self.hi}]")
         if not self.hi > self.lo:
             raise GridError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         if self.n < 2:
@@ -161,8 +163,8 @@ class HbarSchedule:
     count: int = 7
 
     def __post_init__(self):
-        if self.start <= 0:
-            raise ValueError(f"need start > 0, got {self.start}")
+        if not 0 < self.start < np.inf:
+            raise ValueError(f"need a finite start > 0, got {self.start}")
         if not 0 < self.ratio < 1:
             raise ValueError(f"need ratio in (0, 1), got {self.ratio}")
         if self.count < 1:

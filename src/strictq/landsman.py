@@ -1,8 +1,10 @@
 """Strict quantization of 1-D Riemannian cotangent bundles by midpoint charts.
 
 In one dimension every geodesic is arclength-linear, so the whole
-Riemannian apparatus reduces to the arclength coordinate
-``s(q) = \\int sqrt(g)``:
+Riemannian apparatus reduces to the arclength chart ``s(q) = \\int sqrt(g)``
+and its inverse, which is all a :class:`Metric1D` holds (closed forms, or
+the Gauss-Legendre table of :func:`metric_numeric`); a circle's period is
+the arclength of its ``[lo, hi)``:
 
 * the exponential map is ``exp_q(X) = s^{-1}(s(q) + sqrt(g(q)) X)``;
 * the chart ``phi_hbar(q, X) = (exp_q(hbar X/2), exp_q(-hbar X/2))``
@@ -40,7 +42,7 @@ all with kernels in the L^2(dx) frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,6 +62,7 @@ __all__ = [
     "metric_flat",
     "metric_exp2q",
     "metric_circle",
+    "metric_numeric",
     "fiber_fourier",
     "gaussian_fiber_symbol",
     "exp_map",
@@ -88,106 +91,106 @@ class AdmissibilityError(ValueError):
     """Raised when hbar exceeds the chart admissibility bound of a symbol."""
 
 
+def _sqrt_g(g, q):
+    vals = np.asarray(g(q), dtype=float)
+    if np.any(vals <= 0):
+        raise ValueError("metric must be positive on its domain")
+    return np.sqrt(vals)
+
+
 @dataclass(frozen=True)
 class Metric1D:
-    """A 1-D Riemannian metric g(q) dq^2 with its arclength chart.
+    """A 1-D Riemannian metric g(q) dq^2 as its arclength chart.
 
-    ``domain`` is ``'line'`` (arclength range may still be bounded, as for
-    g = e^{2q}) or ``'circle'``.  Closed-form arclength ``s`` and inverse
-    ``s_inv`` may be supplied; otherwise they are built numerically on
-    ``[lo, hi]``: 3-point Gauss-Legendre per cell, accumulated over the
-    cells left of q plus the same rule over the partial cell, inverted by
-    Newton steps.  Outside ``[lo, hi]`` both raise :class:`DomainError`.
+    ``s`` is the arclength ``\\int sqrt(g)`` and ``s_inv`` its inverse, on
+    ``[lo, hi]``; :func:`metric_numeric` tabulates them for a g without a
+    closed form.  ``domain`` is ``'line'`` (the arclength range may still
+    be bounded, as for g = e^{2q}) or ``'circle'``, whose period is the
+    arclength ``s(hi) - s(lo)`` of ``[lo, hi)``.
     """
 
     g: object
+    s: object
+    s_inv: object
     domain: str = "line"
-    s: object = None
-    s_inv: object = None
     lo: float = -20.0
     hi: float = 20.0
-    circumference: float = 0.0
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in ("line", "circle"):
             raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == "circle" and not self.circumference > 0:
-            raise ValueError("circle metrics need a positive circumference")
-        if (self.s is None) != (self.s_inv is None):
-            raise ValueError("supply both s and s_inv or neither")
-        if self.s is None:
-            edges = np.linspace(self.lo, self.hi, ARCLENGTH_CELLS + 1)
-            increments = self._gauss_legendre(edges[:-1], edges[1] - edges[0])
-            self._tables["edges"] = edges
-            self._tables["s_edges"] = np.concatenate([[0.0], np.cumsum(increments)])
 
-    def _gauss_legendre(self, a, h):
+    def arclength(self, q):
+        return np.asarray(self.s(np.asarray(q, dtype=float)), dtype=float)
+
+    def arclength_inverse(self, sigma):
+        return np.asarray(self.s_inv(np.asarray(sigma, dtype=float)), dtype=float)
+
+    def sqrt_g(self, q):
+        return _sqrt_g(self.g, q)
+
+    def s_range(self):
+        return float(self.s(self.lo)), float(self.s(self.hi))
+
+
+def metric_flat() -> Metric1D:
+    """g = 1 on the line; arclength is the identity."""
+    return Metric1D(g=lambda q: np.ones_like(np.asarray(q, dtype=float)),
+                    s=lambda q: q, s_inv=lambda s: s)
+
+
+def metric_exp2q() -> Metric1D:
+    """g = e^{2q}; arclength e^q > 0, so geodesics exit at X <= -1."""
+    return Metric1D(g=lambda q: np.exp(2.0 * np.asarray(q, dtype=float)),
+                    s=np.exp, s_inv=lambda s: np.log(np.asarray(s, dtype=float)))
+
+
+def metric_circle() -> Metric1D:
+    """The flat unit circle, on ``[0, 1)``."""
+    return Metric1D(g=lambda q: np.ones_like(np.asarray(q, dtype=float)),
+                    s=lambda q: q, s_inv=lambda s: s, domain="circle", lo=0.0, hi=1.0)
+
+
+def metric_numeric(g, lo: float, hi: float) -> Metric1D:
+    """g on the line, its arclength tabulated on ``[lo, hi]``.
+
+    ``s`` is 3-point Gauss-Legendre per cell of ``ARCLENGTH_CELLS``,
+    accumulated over the cells left of q plus the same rule over the
+    partial cell; ``s_inv`` interpolates the table and takes Newton steps.
+    Outside ``[lo, hi]`` both raise :class:`DomainError`, and a g that is
+    not positive on the table is refused here.
+    """
+
+    def rule(a, h):
         """``int_a^{a+h} sqrt(g)`` for each a (and h), by 3-point Gauss-Legendre."""
         mid = a + 0.5 * h
         off = np.sqrt(3.0 / 5.0) * 0.5 * h
         nodes = np.concatenate([mid - off, mid, mid + off])
-        vals = np.sqrt(np.asarray(self.g(nodes), dtype=float)).reshape(3, -1)
-        return h * (np.array([5.0, 8.0, 5.0]) / 18.0 @ vals)
+        return h * (np.array([5.0, 8.0, 5.0]) / 18.0 @ _sqrt_g(g, nodes).reshape(3, -1))
 
-    def arclength(self, q):
+    edges = np.linspace(lo, hi, ARCLENGTH_CELLS + 1)
+    s_edges = np.concatenate([[0.0], np.cumsum(rule(edges[:-1], edges[1] - edges[0]))])
+
+    def s(q):
         q = np.asarray(q, dtype=float)
-        if self.s is not None:
-            return np.asarray(self.s(q), dtype=float)
-        edges, s_edges = self._tables["edges"], self._tables["s_edges"]
         if np.any(q < edges[0]) or np.any(q > edges[-1]):
             raise DomainError(f"q outside the tabulated range [{edges[0]:g}, {edges[-1]:g}]")
         # the table up to the left edge of q's cell, then the partial cell
         flat = q.ravel()
         cell = np.minimum(np.searchsorted(edges, flat, side="right") - 1, edges.size - 2)
         left = edges[cell]
-        return (s_edges[cell] + self._gauss_legendre(left, flat - left)).reshape(q.shape)
+        return (s_edges[cell] + rule(left, flat - left)).reshape(q.shape)
 
-    def arclength_inverse(self, sigma):
+    def s_inv(sigma):
         sigma = np.asarray(sigma, dtype=float)
-        if self.s_inv is not None:
-            return np.asarray(self.s_inv(sigma), dtype=float)
-        edges, s_edges = self._tables["edges"], self._tables["s_edges"]
         if np.any(sigma < s_edges[0]) or np.any(sigma > s_edges[-1]):
             raise DomainError("arclength value outside the tabulated range")
         x = np.interp(sigma, s_edges, edges)
         for _ in range(4):
-            x = x - (self.arclength(x) - sigma) / np.sqrt(np.asarray(self.g(x), dtype=float))
-            x = np.clip(x, edges[0], edges[-1])
+            x = np.clip(x - (s(x) - sigma) / _sqrt_g(g, x), edges[0], edges[-1])
         return x
 
-    def sqrt_g(self, q):
-        vals = np.asarray(self.g(q), dtype=float)
-        if np.any(vals <= 0):
-            raise ValueError("metric must be positive on its domain")
-        return np.sqrt(vals)
-
-    def s_range(self):
-        if self.s is not None:
-            lo, hi = float(self.s(self.lo)), float(self.s(self.hi))
-        else:
-            lo, hi = 0.0, float(self._tables["s_edges"][-1])
-        return lo, hi
-
-
-def metric_flat() -> Metric1D:
-    """g = 1 on the line; arclength is the identity."""
-    return Metric1D(g=lambda q: np.ones_like(np.asarray(q, dtype=float)),
-                    domain="line", s=lambda q: q, s_inv=lambda s: s)
-
-
-def metric_exp2q() -> Metric1D:
-    """g = e^{2q}; arclength e^q > 0, so geodesics exit at X <= -1."""
-    return Metric1D(g=lambda q: np.exp(2.0 * np.asarray(q, dtype=float)),
-                    domain="line", s=np.exp,
-                    s_inv=lambda s: np.log(np.asarray(s, dtype=float)))
-
-
-def metric_circle(circumference: float = 1.0) -> Metric1D:
-    """Flat metric on a circle of the given circumference."""
-    return Metric1D(g=lambda q: np.ones_like(np.asarray(q, dtype=float)),
-                    domain="circle", s=lambda q: q, s_inv=lambda s: s,
-                    lo=0.0, hi=circumference, circumference=circumference)
+    return Metric1D(g=g, s=s, s_inv=s_inv, lo=lo, hi=hi)
 
 
 def _knots(x: np.ndarray) -> np.ndarray:
@@ -350,11 +353,9 @@ def gaussian_fiber_symbol(g, metric: Metric1D, base: Grid1D, fiber: Grid1D) -> F
 def exp_map(q, X, metric: Metric1D):
     """Geodesic exponential: walk arclength ``sqrt(g(q)) X`` from q."""
     target = metric.arclength(q) + metric.sqrt_g(q) * np.asarray(X, dtype=float)
-    if metric.domain == "circle":
-        lo, _ = metric.s_range()
-        length = metric.circumference
-        return metric.arclength_inverse(lo + np.mod(target - lo, length))
     s_lo, s_hi = metric.s_range()
+    if metric.domain == "circle":
+        return metric.arclength_inverse(s_lo + np.mod(target - s_lo, s_hi - s_lo))
     if np.any(target < s_lo) or np.any(target > s_hi):
         raise DomainError(
             f"geodesic leaves the domain (arclength target outside [{s_lo:g}, {s_hi:g}])"
@@ -373,11 +374,10 @@ def phi_hbar_inverse(x, xp, hbar: float, metric: Metric1D):
     sx = metric.arclength(x)
     sxp = metric.arclength(xp)
     if metric.domain == "circle":
-        length = metric.circumference
+        s_lo, s_hi = metric.s_range()
+        length = s_hi - s_lo
         diff = np.mod(sx - sxp + length / 2.0, length) - length / 2.0
-        smid = sxp + diff / 2.0
-        lo, _ = metric.s_range()
-        smid = lo + np.mod(smid - lo, length)
+        smid = s_lo + np.mod(sxp + diff / 2.0 - s_lo, length)
     else:
         diff = sx - sxp
         smid = 0.5 * (sx + sxp)
@@ -389,7 +389,7 @@ def phi_hbar_inverse(x, xp, hbar: float, metric: Metric1D):
 def hbar_admissible(fsym: FiberSymbol, metric: Metric1D) -> float:
     """Largest hbar for which the support of ft maps inside the chart.
 
-    On a circle the bound keeps geodesics within half the circumference;
+    On a circle the bound keeps geodesics within half the period;
     on the line it keeps them inside the arclength range of the base grid.
     """
     R = fsym.support_radius
@@ -401,11 +401,10 @@ def hbar_admissible(fsym: FiberSymbol, metric: Metric1D) -> float:
     support = base[live] if live.any() else base
     sq = metric.arclength(support)
     root_g = metric.sqrt_g(support)
+    s_lo, s_hi = metric.s_range()
     if metric.domain == "circle":
         # keep geodesic separations short of the antipodal cut
-        bound = metric.circumference / (2.0 * root_g.max() * R)
-        return float(bound)
-    s_lo, s_hi = metric.s_range()
+        return float((s_hi - s_lo) / (2.0 * root_g.max() * R))
     grid_lo = metric.arclength(fsym.base.lo)
     grid_hi = metric.arclength(fsym.base.hi)
     lo = max(s_lo, grid_lo)
@@ -496,7 +495,7 @@ def circle_hermiticity(n: int, schedule: HbarSchedule) -> tuple:
     """Rows ``[hbar, sup |K - K^H|, sup |K|]`` of the real symbol
     ``(1 + 0.3 cos 2 pi q) e^{-v^2}`` on the unit circle, n points on the base
     and on the fiber ``[-8, 8)``, with notes and warnings."""
-    metric = metric_circle(1.0)
+    metric = metric_circle()
     axis, vax = Grid1D(0.0, 1.0, n), Grid1D(-8.0, 8.0, n)
 
     def ft(q, v):

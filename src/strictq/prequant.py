@@ -85,16 +85,17 @@ class DegreeCapError(ValueError):
 
 def _check_degrees(keys) -> None:
     for (a, b, d) in keys:
-        if d < 0:
-            raise ValueError(f"negative y-degree in term ({a}, {b}, {d})")
+        if d < 0 or a % 1 or b % 1 or d % 1:
+            problem = "negative y-degree" if d < 0 else "non-integral component"
+            raise ValueError(f"{problem} in term ({a}, {b}, {d})")
 
 
 def trig_section(terms: dict) -> dict:
     """The section with int keys (a, b, d >= 0) and complex coefficients; zeros
-    are kept, as their degree counts against the cap."""
-    out = {(int(a), int(b), int(d)): complex(c) for (a, b, d), c in terms.items()}
-    _check_degrees(out)
-    return out
+    are kept, as their degree counts against the cap.  Integral keys such as
+    ``2.0`` become ints; any other key is refused."""
+    _check_degrees(terms)
+    return {(int(a), int(b), int(d)): complex(c) for (a, b, d), c in terms.items()}
 
 
 def sin_x() -> RotAlgElement:

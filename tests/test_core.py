@@ -59,6 +59,18 @@ def test_grid_validation():
         Grid1D(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0)])
+def test_grid_refuses_nonfinite_ends(lo, hi):
+    with pytest.raises(GridError, match="need finite ends"):
+        Grid1D(lo, hi, 8)
+
+
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_schedule_refuses_nonfinite_start(start):
+    with pytest.raises(ValueError, match=f"need a finite start > 0, got {start}"):
+        HbarSchedule(start, 0.5, 3)
+
+
 def test_schedule_decreasing_and_clipping():
     sched = HbarSchedule(start=1.0, ratio=0.5, count=7)
     values = sched.values
@@ -108,7 +120,8 @@ def test_sample_dtype_follows_symbol(symbol, dtype):
 def test_sample_nonfinite_rejected():
     grid = Grid2D(Grid1D(-1, 1, 4), Grid1D(-1, 1, 4))
     with pytest.raises(SampleError, match="q"):
-        sample(lambda q, p: 1.0 / (q - 0.25), grid)
+        with np.errstate(divide="ignore"):  # the pole at q = 0.25 is the point
+            sample(lambda q, p: 1.0 / (q - 0.25), grid)
 
 
 # ------------------------------------------------------------ quadrature

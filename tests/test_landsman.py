@@ -22,6 +22,7 @@ from strictq.landsman import (
     metric_circle,
     metric_exp2q,
     metric_flat,
+    metric_numeric,
     phi_hbar,
     phi_hbar_inverse,
 )
@@ -183,7 +184,7 @@ def test_phi_hbar_round_trips():
 
 
 def test_numeric_arclength_agrees_with_closed_form():
-    num = Metric1D(g=lambda q: np.exp(2.0 * np.asarray(q, dtype=float)), lo=-4, hi=4)
+    num = metric_numeric(lambda q: np.exp(2.0 * np.asarray(q, dtype=float)), -4, 4)
     qs = np.linspace(-3, 3, 11)
     want = np.exp(qs) - np.exp(-4.0)
     assert np.max(np.abs(num.arclength(qs) - want)) < 1e-12
@@ -196,9 +197,30 @@ def test_numeric_arclength_agrees_with_closed_form():
 
 @pytest.mark.parametrize("q", [5.0, 6.0, -4.5, [0.0, 4.0 + 1e-9]])
 def test_numeric_arclength_refuses_to_extrapolate(q):
-    num = Metric1D(g=lambda q: np.exp(2.0 * np.asarray(q, dtype=float)), lo=-4, hi=4)
+    num = metric_numeric(lambda q: np.exp(2.0 * np.asarray(q, dtype=float)), -4, 4)
     with pytest.raises(DomainError, match=r"outside the tabulated range \[-4, 4\]"):
         num.arclength(q)
+
+
+def test_numeric_metric_refuses_nonpositive_g():
+    with pytest.raises(ValueError, match="metric must be positive on its domain"):
+        metric_numeric(lambda q: np.asarray(q, dtype=float), -1.0, 1.0)
+
+
+def test_circle_period_is_read_from_its_chart():
+    # g = 4 on [0, 1): arclength 2q, so the period is 2, not the length 1 of [0, 1)
+    circ = Metric1D(g=lambda q: 4.0 * np.ones_like(np.asarray(q, dtype=float)),
+                    s=lambda q: 2.0 * np.asarray(q), s_inv=lambda s: np.asarray(s) / 2.0,
+                    domain="circle", lo=0.0, hi=1.0)
+    assert exp_map(0.5, 0.25, circ) == pytest.approx(0.75)
+    x, xp = phi_hbar(0.02, 0.3, 0.25, circ)
+    assert (x, xp) == (pytest.approx(0.0575), pytest.approx(0.9825))  # across the seam
+    q, X = phi_hbar_inverse(x, xp, 0.25, circ)
+    assert abs(q - 0.02) < 1e-12 and abs(X - 0.3) < 1e-12
+    vax = Grid1D(-8.0, 8.0, 64)
+    fsym = FiberSymbol(base=Grid1D(0.0, 1.0, 64), fiber=vax,
+                       values=np.ones((64, 64), dtype=complex), support_radius=6.0)
+    assert hbar_admissible(fsym, circ) == 2.0 / (2.0 * 2.0 * 6.0)
 
 
 # --------------------------------------------------------------- quantization
@@ -292,7 +314,7 @@ def frame_cases():
     cases.append((FLAT, gaussian_fiber_symbol(gA, FLAT, axis, fiber),
                   gaussian_fiber_symbol(gB, FLAT, axis, fiber), 0.5))
 
-    circ = metric_circle(1.0)
+    circ = metric_circle()
     caxis, vax = Grid1D(0.0, 1.0, 128), Grid1D(-8.0, 8.0, 128)
 
     def circle_symbol(shift):
@@ -308,8 +330,8 @@ def frame_cases():
     fA, fB, eA, eB = exp2q_pair(160)
     cases.append((EXP2Q, eA, eB, 0.5 * min(hbar_admissible(s, EXP2Q) for s in (eA, eB))))
 
-    bumpy = Metric1D(g=lambda q: (1.0 + 0.5 * np.tanh(np.asarray(q, dtype=float))) ** 2,
-                     lo=-8.0, hi=8.0)
+    bumpy = metric_numeric(lambda q: (1.0 + 0.5 * np.tanh(np.asarray(q, dtype=float))) ** 2,
+                           -8.0, 8.0)
     baxis = Grid1D(-3.0, 3.0, 160)
     bfiber = fiber_fourier(sampled_gaussian(gA, Grid2D(baxis, Grid1D(-12.0, 12.0, 160))),
                            bumpy).fiber

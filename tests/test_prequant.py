@@ -278,16 +278,34 @@ def test_degree_cap_raised_where_section_arithmetic_raises(cap):
                             == outcome(oracle_dirac_identity_check, f, g, 2, sections, cap))
 
 
-@pytest.mark.parametrize("apply", [
+# the entry points a raw section dict reaches
+RAW_DICT_ENTRIES = pytest.mark.parametrize("apply", [
     lambda f, phi: prequant_apply(f, phi, 2),
     lambda f, phi: dirac_identity_check(f, f, 2, [{(0, 0, 0): 1.0}, phi]),
     lambda f, phi: trig_section(phi),
 ], ids=["prequant_apply", "dirac_identity_check", "trig_section"])
+
+
+@RAW_DICT_ENTRIES
 def test_negative_degree_rejected_in_raw_dicts(apply):
     # a raw dict reaches the packer unchecked; d = -1 must not land in the top degree slot
     f = torus_observable({(1, 0): 1.0, (0, 1): 0.5})
     with pytest.raises(ValueError, match=r"negative y-degree in term \(0, 0, -1\)"):
         apply(f, {(0, 0, -1): 1.0})
+
+
+@RAW_DICT_ENTRIES
+def test_non_integral_key_rejected(apply):
+    # trig_section must not truncate it, nor the packer index with it
+    f = torus_observable({(1, 0): 1.0, (0, 1): 0.5})
+    with pytest.raises(ValueError, match=r"non-integral component in term \(0.5, 0, 1.7\)"):
+        apply(f, {(0.5, 0, 1.7): 1.0})
+
+
+def test_integral_keys_normalise_to_int():
+    phi = trig_section({(np.int64(2), 2.0, np.int64(1)): 1})
+    assert phi == {(2, 2, 1): 1 + 0j}
+    assert all(type(k) is int for key in phi for k in key)
 
 
 def test_nonpositive_N_rejected():
